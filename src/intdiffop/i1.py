@@ -21,7 +21,7 @@ from .errors import ZeroPolynomial
 from .polyh import PolyH, nonneg_shifted_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffMon:
     """H^j d^i with i >= 1."""
 
@@ -29,14 +29,14 @@ class DiffMon:
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HMon:
     """H^j."""
 
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMon:
     """int^i H^j with i >= 1."""
 
@@ -44,7 +44,7 @@ class IntMon:
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatUnit:
     """Matrix unit e[s,t]."""
 
@@ -53,6 +53,7 @@ class MatUnit:
 
 
 I1Monomial = (DiffMon, HMon, IntMon, MatUnit)
+_UNIT = HMon(0)
 
 
 def mono_degree(m) -> int:
@@ -87,82 +88,123 @@ def _word(m):
     return None
 
 
-def _emit_word(a: int, p: PolyH, b: int, out: dict, scale: Fraction):
+def _acc(out: dict, mon, c):
+    """out[mon] += c, keeping no zero coefficients."""
+    v = out.get(mon)
+    v = c if v is None else v + c
+    if v:
+        out[mon] = v
+    else:
+        out.pop(mon, None)
+
+
+def _emit_word(a: int, p: PolyH, b: int, out: dict):
     """Accumulate int^a p(H) d^b with a*b = 0 into a term dict."""
     for j, c in p.coeffs.items():
-        c = c * scale
-        if not c:
-            continue
         if a > 0:
             mon = IntMon(a, j)
         elif b > 0:
             mon = DiffMon(j, b)
         else:
             mon = HMon(j)
-        out[mon] = out.get(mon, Fraction(0)) + c
-        if not out[mon]:
-            del out[mon]
+        _acc(out, mon, c)
 
 
-def _emit_unit(s: int, t: int, out: dict, scale: Fraction):
-    if not scale:
-        return
-    mon = MatUnit(s, t)
-    out[mon] = out.get(mon, Fraction(0)) + scale
-    if not out[mon]:
-        del out[mon]
+def _emit_unit(s: int, t: int, out: dict, c: Fraction):
+    if c:
+        _acc(out, MatUnit(s, t), c)
 
 
-def _midword(a: int, p: PolyH, b: int, out: dict, scale: Fraction):
+def _midword(a: int, p: PolyH, b: int, out: dict):
     """Reduce the general word int^a p(H) d^b to canonical terms.
 
     Uses int^m d^m = 1 - e[0,0] - ... - e[m-1,m-1] with m = min(a, b); the
     surviving pure side carries the shifted polynomial.
     """
-    if p.is_zero() or not scale:
+    if p.is_zero():
         return
     m = min(a, b)
     if m == 0:
-        _emit_word(a, p, b, out, scale)
+        _emit_word(a, p, b, out)
         return
     # int^a p(H) d^b = p(H-a) int^a d^b
     if a > b:
-        _emit_word(a - b, p.shift(-b), 0, out, scale)
+        _emit_word(a - b, p.shift(-b), 0, out)
     elif b > a:
-        _emit_word(0, p.shift(-a), b - a, out, scale)
+        _emit_word(0, p.shift(-a), b - a, out)
     else:
-        _emit_word(0, p.shift(-a), 0, out, scale)
+        _emit_word(0, p.shift(-a), 0, out)
     for t in range(m):
-        _emit_unit(t + a - m, t + b - m, out, -scale * p(t + 1 - m))
+        _emit_unit(t + a - m, t + b - m, out, -p(t + 1 - m))
 
 
-def _mono_mul_into(m1, m2, out: dict, scale: Fraction):
-    """Accumulate scale * (m1 * m2) in canonical form into `out`."""
+def _mono_reduce(m1, m2, out: dict):
+    """Accumulate m1 * m2 in canonical form into `out` (no memo)."""
     w1, w2 = _word(m1), _word(m2)
     if w1 is not None and w2 is not None:
         a1, p1, b1 = w1
         a2, p2, b2 = w2
         if b1 >= a2:
             d = b1 - a2
-            _midword(a1, p1 * p2.shift(d), d + b2, out, scale)
+            _midword(a1, p1 * p2.shift(d), d + b2, out)
         else:
             u = a2 - b1
-            _midword(a1 + u, p1.shift(u) * p2, b2, out, scale)
+            _midword(a1 + u, p1.shift(u) * p2, b2, out)
     elif w1 is not None:
         # word * e[s,t]
         a, p, b = w1
         s, t = m2.s, m2.t
         if s >= b:
-            _emit_unit(s - b + a, t, out, scale * p(s - b + 1))
+            _emit_unit(s - b + a, t, out, p(s - b + 1))
     elif w2 is not None:
         # e[s,t] * word
         s, t = m1.s, m1.t
         a, p, b = w2
         if t >= a:
-            _emit_unit(s, t - a + b, out, scale * p(t - a + 1))
-    else:
-        if m1.t == m2.s:
-            _emit_unit(m1.s, m2.t, out, scale)
+            _emit_unit(s, t - a + b, out, p(t - a + 1))
+    elif m1.t == m2.s:
+        _emit_unit(m1.s, m2.t, out, Fraction(1))
+
+
+# Products of monomial pairs repeat heavily inside element products, so they
+# are memoised.  The memo holds at most _MONO_PRODUCTS_BOUND entries and is
+# emptied when full; monomials it holds are interned in _MONOS (emptied with
+# it) and integral coefficients are stored as int, to keep entries small.
+# With exponents up to 3 a full memo stays under 2 MB.
+_MONO_PRODUCTS_BOUND = 1 << 11
+_MONO_PRODUCTS: dict = {}
+_MONOS: dict = {}
+
+
+def _mono_product(m1, m2) -> tuple:
+    """m1 * m2 in canonical form as a tuple of (monomial, coefficient) pairs."""
+    prod = _MONO_PRODUCTS.get((m1, m2))
+    if prod is None:
+        out = {}
+        _mono_reduce(m1, m2, out)
+        if len(_MONO_PRODUCTS) >= _MONO_PRODUCTS_BOUND:
+            _MONO_PRODUCTS.clear()
+            _MONOS.clear()
+        intern = _MONOS.setdefault
+        prod = tuple(
+            (intern(m, m), c.numerator if c.denominator == 1 else c)
+            for m, c in out.items()
+        )
+        _MONO_PRODUCTS[intern(m1, m1), intern(m2, m2)] = prod
+    return prod
+
+
+def _mono_mul_into(m1, m2, out: dict, scale: Fraction | int):
+    """Accumulate scale * (m1 * m2) in canonical form into `out`."""
+    get = out.get
+    for mon, c in _mono_product(m1, m2):
+        c = scale if c == 1 else scale * c  # most coefficients are 1
+        v = get(mon)
+        v = c if v is None else v + c
+        if v:
+            out[mon] = v
+        else:
+            out.pop(mon, None)
 
 
 def mono_mul(m1, m2) -> "I1Element":
@@ -223,6 +265,9 @@ class I1Element:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a scalar equals its Fraction value, so it hashes as that value
+        if self.terms.keys() <= {_UNIT}:
+            return hash(self.terms.get(_UNIT, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -286,8 +331,9 @@ class I1Element:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def involution(self) -> "I1Element":

@@ -43,6 +43,9 @@ class _Skew:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a scalar equals its constant coefficient, so it hashes as that value
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash((type(self).__name__, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
@@ -100,8 +103,9 @@ class _Skew:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def top_degree(self):

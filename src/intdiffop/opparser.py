@@ -12,7 +12,8 @@ The factor index is mandatory and must lie in 1..n.  Rational literals are
 `p` or `p/q` (the slash is lexer-level, never a division operator).  `^`
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
-on input only.
+on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
+which also bounds the recursion of the evaluators over the parsed tree.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .tensor import (
 )
 
 _GEN_KINDS = ("x", "d", "int", "H", "e")
+MAX_DEPTH = 200
 
 
 # ---------------------------------------------------------------- tokens
@@ -141,6 +143,13 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.k = 0
+        self.depth = 0
+
+    def descend(self, t: Token):
+        """Enter one more level of nesting at t; the caller leaves it."""
+        if self.depth == MAX_DEPTH:
+            raise OperatorSyntaxError(f"nesting deeper than {MAX_DEPTH}", t.pos)
+        self.depth += 1
 
     def peek(self) -> Token:
         return self.toks[self.k]
@@ -187,7 +196,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.value == "-":
             self.next()
-            return Neg(self.factor())
+            self.descend(t)
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         base = self.atom()
         t = self.peek()
         if t.kind == "op" and t.value == "^":
@@ -205,8 +217,10 @@ class _Parser:
         if t.kind == "num":
             return Num(t.value)
         if t.kind == "op" and t.value == "(":
+            self.descend(t)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if t.kind == "genkind":
             return self.generator(t)

@@ -77,6 +77,9 @@ class PolyH:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes as that value
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
@@ -130,8 +133,9 @@ class PolyH:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def shift(self, k: int) -> "PolyH":
@@ -313,6 +317,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # num/1 equals the polynomial num, so it hashes as num
+        if self.den == ONE:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):

@@ -31,7 +31,7 @@ MODE_FULL = "I"
 MODE_QUOT = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class B1Mon:
     """H^j D^d in a quotient-mode factor; d is the Laurent power of D."""
 
@@ -49,12 +49,18 @@ def _b1_mul_into(m1: B1Mon, m2: B1Mon, out: dict, scale: Fraction):
             del out[mon]
 
 
+def _unit(modes) -> tuple:
+    """The basis tuple of the identity element."""
+    return tuple(B1Mon(0, 0) if m == MODE_QUOT else HMon(0) for m in modes)
+
+
 def _factor_mul(m1, m2, mode) -> dict:
     out = {}
     if mode == MODE_QUOT:
         _b1_mul_into(m1, m2, out, Fraction(1))
     else:
-        _mono_mul_into(m1, m2, out, Fraction(1))
+        # an int scale keeps the memo's int coefficients: no Fraction product
+        _mono_mul_into(m1, m2, out, 1)
     return out
 
 
@@ -100,8 +106,7 @@ class InElement:
     @classmethod
     def one(cls, n: int, modes=None) -> "InElement":
         modes = tuple(modes) if modes is not None else (MODE_FULL,) * n
-        unit = tuple(B1Mon(0, 0) if m == MODE_QUOT else HMon(0) for m in modes)
-        return cls(n, {unit: Fraction(1)}, modes)
+        return cls(n, {_unit(modes): Fraction(1)}, modes)
 
     @classmethod
     def from_scalar(cls, n: int, v, modes=None) -> "InElement":
@@ -127,6 +132,10 @@ class InElement:
         return (self.n, self.modes, self.terms) == (other.n, other.modes, other.terms)
 
     def __hash__(self):
+        # a scalar equals its Fraction value, so it hashes as that value
+        unit = _unit(self.modes)
+        if self.terms.keys() <= {unit}:
+            return hash(self.terms.get(unit, 0))
         return hash((self.n, self.modes, frozenset(self.terms.items())))
 
     def __add__(self, other):
@@ -176,14 +185,17 @@ class InElement:
                         partial = []
                         break
                     partial = [
-                        (pref + (m,), c * fc)
+                        (pref + (m,), c if fc == 1 else c * fc)
                         for pref, c in partial
                         for m, fc in fk.items()
                     ]
                 for tup, c in partial:
-                    out[tup] = out.get(tup, Fraction(0)) + c
-                    if not out[tup]:
-                        del out[tup]
+                    v = out.get(tup)
+                    v = c if v is None else v + c
+                    if v:
+                        out[tup] = v
+                    else:
+                        out.pop(tup, None)
         return InElement(self.n, out, self.modes)
 
     def __rmul__(self, other):
@@ -199,8 +211,9 @@ class InElement:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def involution(self) -> "InElement":

@@ -111,3 +111,25 @@ class TestInProcess:
     def test_project_multiple(self, capsys):
         assert run(["project", "-n", "2", "int1*d2", "--primes", "1,2"]) == 0
         assert capsys.readouterr().out == "D1^-1*D2\n"
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("args", [
+        ["normalize", "--", "(" * 3000 + "d1" + ")" * 3000],
+        ["normalize", "--", "-" * 3000 + "d1"],
+        ["apply", "d1", "--to=" + "(" * 3000 + "x1" + ")" * 3000],
+    ], ids=["parens", "minus", "poly"])
+    def test_too_deep_is_a_parse_error(self, args, capsys):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "nesting deeper than 200 (at position 200)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "d1" + ")" * 200,
+        "-" * 200 + "d1",
+        "-(" * 100 + "d1" + ")^1" * 100,
+    ], ids=["parens", "minus", "mixed"])
+    def test_depth_200_parses(self, text, capsys):
+        assert run(["normalize", "--", text]) == 0
+        assert capsys.readouterr().out == "d1\n"

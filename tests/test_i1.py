@@ -23,8 +23,9 @@ from intdiffop import (
     mono_mul,
     project_B1,
 )
+from intdiffop import i1
 from intdiffop.errors import ZeroPolynomial
-from intdiffop.i1 import from_polyh
+from intdiffop.i1 import _mono_mul_into, _mono_reduce, from_polyh
 from intdiffop.laurent import B1Element
 
 from conftest import (
@@ -90,6 +91,62 @@ class TestMonoMul:
             hj = I1Element.from_mono(HMon(j))
             assert D * hj == from_polyh((HP + 1) ** j) * D
             assert INT * hj == from_polyh((HP - 1) ** j) * INT
+
+
+# every basis monomial with exponents and matrix indices up to 3
+GRID = (
+    [DiffMon(j, i) for i in range(1, 4) for j in range(4)]
+    + [HMon(j) for j in range(4)]
+    + [IntMon(i, j) for i in range(1, 4) for j in range(4)]
+    + [MatUnit(s, t) for s in range(4) for t in range(4)]
+)
+
+
+def _reduced(m1, m2, scale):
+    plain = {}
+    _mono_reduce(m1, m2, plain)
+    return {m: scale * c for m, c in plain.items()}
+
+
+class TestMonoProductMemo:
+    def test_memo_matches_reduction_and_action(self):
+        i1._MONO_PRODUCTS.clear()
+        scale = Fraction(-3, 2)
+        for m1 in GRID:
+            for m2 in GRID:
+                expected = _reduced(m1, m2, scale)
+                for _ in range(2):  # a miss that fills the memo, then a hit
+                    out = {}
+                    _mono_mul_into(m1, m2, out, scale)
+                    assert out == expected, (m1, m2)
+                # accumulation cancels exactly, leaving no zero terms
+                _mono_mul_into(m1, m2, out, -scale)
+                assert out == {}
+                prod = I1Element(expected).scale(1 / scale)
+                a, b = I1Element.from_mono(m1), I1Element.from_mono(m2)
+                n = faithful_bound(prod) + faithful_bound(a) + faithful_bound(b)
+                for s in range(n + 1):
+                    xs = PolyX.monomial(s)
+                    assert apply(prod, xs) == apply(a, apply(b, xs)), (m1, m2, s)
+
+    def test_memo_stays_within_its_bound(self):
+        bound = i1._MONO_PRODUCTS_BOUND
+        units = [MatUnit(s, t) for s in range(8) for t in range(8)]
+        assert len(units) ** 2 > bound
+        i1._MONO_PRODUCTS.clear()
+        cleared = False
+        for m1 in units:
+            for m2 in units:
+                before = len(i1._MONO_PRODUCTS)
+                _mono_mul_into(m1, m2, {}, Fraction(1))
+                assert len(i1._MONO_PRODUCTS) <= bound
+                cleared |= len(i1._MONO_PRODUCTS) < before
+        assert cleared
+        for m1 in GRID + units[-20:]:
+            for m2 in GRID + units[-20:]:
+                out = {}
+                _mono_mul_into(m1, m2, out, Fraction(1))
+                assert out == _reduced(m1, m2, Fraction(1)), (m1, m2)
 
 
 class TestRingOps:
