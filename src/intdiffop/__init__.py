@@ -18,7 +18,7 @@ from .errors import (
     OperatorSyntaxError,
     ZeroPolynomial,
 )
-from .polyh import PolyH, Rat, RatFunc, nonneg_shifted_roots, poly_eval, poly_shift
+from .polyh import PolyH, RatFunc, nonneg_shifted_roots
 from .i1 import (
     DiffMon,
     HMon,
@@ -36,7 +36,7 @@ from .i1 import (
     mono_mul,
     project_B1,
 )
-from .laurent import B1Element, CalB1Element, b1_mul, left_divide, length, right_divide
+from .laurent import B1Element, CalB1Element, left_divide, length, right_divide
 from .tensor import (
     B1Mon,
     InElement,

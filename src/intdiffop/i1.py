@@ -19,6 +19,7 @@ from math import factorial
 
 from .errors import ZeroPolynomial
 from .polyh import PolyH, nonneg_shifted_roots
+from .sparse import Sparse
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,10 +226,10 @@ def _mono_sort_key(m):
     return (3, m.s, m.t)
 
 
-class I1Element:
+class I1Element(Sparse):
     """Sparse canonical-form element; immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         t = {}
@@ -251,59 +252,11 @@ class I1Element:
     def from_mono(cls, m, coeff=1) -> "I1Element":
         return cls({m: Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, v) -> "I1Element":
+        return I1Element.from_scalar(v)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = I1Element.from_scalar(other)
-        if not isinstance(other, I1Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        # a scalar equals its Fraction value, so it hashes as that value
-        if self.terms.keys() <= {_UNIT}:
-            return hash(self.terms.get(_UNIT, 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = I1Element.from_scalar(other)
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + v
-            if not out[m]:
-                del out[m]
-        r = I1Element.__new__(I1Element)
-        r.terms = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = I1Element.__new__(I1Element)
-        r.terms = {m: -v for m, v in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = I1Element.from_scalar(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return I1Element.from_scalar(other) - self
-
-    def scale(self, c) -> "I1Element":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return I1Element()
-        r = I1Element.__new__(I1Element)
-        r.terms = {m: c * v for m, v in self.terms.items()}
-        return r
+    def _unit_key(self):
+        return _UNIT
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -314,37 +267,20 @@ class I1Element:
         for m1, v1 in self.terms.items():
             for m2, v2 in other.terms.items():
                 _mono_mul_into(m1, m2, out, v1 * v2)
-        r = I1Element.__new__(I1Element)
-        r.terms = out
-        return r
+        return self._new(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative operator power")
-        result = I1Element.from_scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    __pow__ = Sparse.__pow__
 
     def involution(self) -> "I1Element":
-        r = I1Element.__new__(I1Element)
-        r.terms = {mono_involution(m): v for m, v in self.terms.items()}
-        return r
+        return self._new({mono_involution(m): v for m, v in self.terms.items()})
 
     def grade_component(self, d: int) -> "I1Element":
-        r = I1Element.__new__(I1Element)
-        r.terms = {m: v for m, v in self.terms.items() if mono_degree(m) == d}
-        return r
+        return self._new({m: v for m, v in self.terms.items() if mono_degree(m) == d})
 
     def degrees(self):
         return sorted({mono_degree(m) for m in self.terms})
@@ -402,10 +338,10 @@ def from_polyh(p: PolyH) -> I1Element:
     return I1Element({HMon(j): c for j, c in p.coeffs.items()})
 
 
-class PolyX:
+class PolyX(Sparse):
     """Sparse polynomial in x with rational coefficients (monomial basis)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         c = {}
@@ -414,50 +350,29 @@ class PolyX:
                 v = v if isinstance(v, Fraction) else Fraction(v)
                 if v:
                     c[int(d)] = v
-        self._c = c
+        self.terms = c
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "PolyX":
         return cls({degree: Fraction(coeff)})
 
+    def _scalar(self, v) -> "PolyX":
+        return PolyX({0: v})
+
+    def _unit_key(self):
+        return 0
+
     @property
     def coeffs(self):
-        return dict(self._c)
+        return dict(self.terms)
 
     def coeff(self, d: int) -> Fraction:
-        return self._c.get(d, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyX):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other):
-        out = dict(self._c)
-        for d, v in other._c.items():
-            out[d] = out.get(d, Fraction(0)) + v
-            if not out[d]:
-                del out[d]
-        r = PolyX.__new__(PolyX)
-        r._c = out
-        return r
-
-    def scale(self, c) -> "PolyX":
-        c = Fraction(c)
-        r = PolyX.__new__(PolyX)
-        r._c = {} if not c else {d: c * v for d, v in self._c.items()}
-        return r
+        return self.terms.get(d, Fraction(0))
 
     def __repr__(self):
-        if not self._c:
+        if not self.terms:
             return "PolyX(0)"
-        parts = [f"{v}*x^{d}" for d, v in sorted(self._c.items())]
+        parts = [f"{v}*x^{d}" for d, v in sorted(self.terms.items())]
         return "PolyX(" + " + ".join(parts) + ")"
 
 
@@ -497,9 +412,7 @@ def apply(a: I1Element, p: PolyX) -> PolyX:
                 out[ns] = out.get(ns, Fraction(0)) + coeff
                 if not out[ns]:
                     del out[ns]
-    r = PolyX.__new__(PolyX)
-    r._c = out
-    return r
+    return PolyX(out)
 
 
 def matrix_of(a: I1Element, n: int):
@@ -538,6 +451,19 @@ def faithful_bound(a: I1Element) -> int:
     return s_max + t_max + j_max + i_max + 1
 
 
+def quotient_terms(m) -> tuple:
+    """The quotient map d -> D, int -> D^-1 on one basis monomial, as
+    (D-power, H-degree, coefficient) triples; matrix units map to 0."""
+    if isinstance(m, MatUnit):
+        return ()
+    if isinstance(m, DiffMon):
+        return ((m.i, m.j, 1),)
+    if isinstance(m, HMon):
+        return ((0, m.j, 1),)
+    # int^i H^j = D^-i H^j = (H-i)^j D^-i
+    return tuple((-m.i, j, c) for j, c in PolyH.monomial(m.j).shift(-m.i).terms.items())
+
+
 def project_B1(a: I1Element):
     """Quotient map onto the skew Laurent algebra: d -> d, int -> d^-1.
 
@@ -547,13 +473,7 @@ def project_B1(a: I1Element):
 
     coeffs = {}
     for m, v in a.terms.items():
-        if isinstance(m, MatUnit):
-            continue
-        if isinstance(m, DiffMon):
-            d, p = m.i, PolyH.monomial(m.j, v)
-        elif isinstance(m, HMon):
-            d, p = 0, PolyH.monomial(m.j, v)
-        else:  # IntMon: d^-i H^j = (H-i)^j d^-i
-            d, p = -m.i, PolyH.monomial(m.j, v).shift(-m.i)
-        coeffs[d] = coeffs.get(d, PolyH()) + p
-    return B1Element({d: p for d, p in coeffs.items() if not p.is_zero()})
+        for d, j, c in quotient_terms(m):
+            p = coeffs.setdefault(d, {})
+            p[j] = p.get(j, 0) + c * v
+    return B1Element({d: PolyH(p) for d, p in coeffs.items()})

@@ -13,12 +13,13 @@ from fractions import Fraction
 
 from .errors import DivisionByZero
 from .polyh import PolyH, RatFunc
+from .sparse import Sparse
 
 
-class _Skew:
+class _Skew(Sparse):
     """Shared core: sparse degree -> coefficient map; no zero coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         c = {}
@@ -27,58 +28,26 @@ class _Skew:
                 v = self._coerce(v)
                 if v:
                     c[int(d)] = v
-        self.coeffs = c
+        self.terms = c
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _scalar(self, v) -> "_Skew":
+        return type(self)({0: v})
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _unit_key(self):
+        return 0
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self)({0: other})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a scalar equals its constant coefficient, so it hashes as that value
-        if self.coeffs.keys() <= {0}:
-            return hash(self.coeffs.get(0, 0))
-        return hash((type(self).__name__, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self)({0: other})
-        out = dict(self.coeffs)
-        for d, v in other.coeffs.items():
-            w = out.get(d)
-            w = v if w is None else w + v
-            if w:
-                out[d] = w
-            elif d in out:
-                del out[d]
-        return type(self)(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({d: -v for d, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self)({0: other})
-        return self + (-other)
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = type(self)({0: other})
+            other = self._scalar(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         out = {}
-        for d, a in self.coeffs.items():
-            for e, b in other.coeffs.items():
+        for d, a in self.terms.items():
+            for e, b in other.terms.items():
                 v = a * b.shift(d)
                 if v:
                     k = d + e
@@ -88,38 +57,25 @@ class _Skew:
                         out[k] = w
                     elif k in out:
                         del out[k]
-        return type(self)(out)
+        return self._new(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)({0: other}) * self
+            return self._scalar(other) * self
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power; use an explicit D^-1 coefficient")
-        result = type(self)({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def top_degree(self):
-        return max(self.coeffs) if self.coeffs else None
+        return max(self.terms) if self.terms else None
 
     def bottom_degree(self):
-        return min(self.coeffs) if self.coeffs else None
+        return min(self.terms) if self.terms else None
 
     def to_text(self, dvar: str = "D", hvar: str = "H") -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[d]
+        for d in sorted(self.terms, reverse=True):
+            v = self.terms[d]
             body = v.to_text(hvar)
             neg = body.startswith("-")
             if neg:
@@ -153,7 +109,7 @@ class B1Element(_Skew):
 
     def to_calb1(self) -> "CalB1Element":
         """Embedding into the K(H) version; commutes with multiplication."""
-        return CalB1Element({d: RatFunc(p) for d, p in self.coeffs.items()})
+        return CalB1Element({d: RatFunc(p) for d, p in self.terms.items()})
 
 
 class CalB1Element(_Skew):
@@ -170,10 +126,6 @@ class CalB1Element(_Skew):
     @classmethod
     def d_power(cls, d: int, coeff=1) -> "CalB1Element":
         return cls({d: coeff})
-
-
-def b1_mul(a, b):
-    return a * b
 
 
 def length(b):
@@ -195,11 +147,11 @@ def right_divide(b: CalB1Element, c: CalB1Element):
     r = b
     lc = length(c)
     dc = c.top_degree()
-    gamma = c.coeffs[dc]
+    gamma = c.terms[dc]
     while not r.is_zero() and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
-        mu = r.coeffs[dr] * gamma.shift(shift).inverse()
+        mu = r.terms[dr] * gamma.shift(shift).inverse()
         mono = CalB1Element({shift: mu})
         q = q + mono
         r = r - mono * c
@@ -214,12 +166,12 @@ def left_divide(b: CalB1Element, c: CalB1Element):
     r = b
     lc = length(c)
     dc = c.top_degree()
-    gamma = c.coeffs[dc]
+    gamma = c.terms[dc]
     while not r.is_zero() and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
         # c * mu D^shift has top coefficient gamma * tau^dc(mu)
-        mu = (r.coeffs[dr] * gamma.inverse()).shift(-dc)
+        mu = (r.terms[dr] * gamma.inverse()).shift(-dc)
         mono = CalB1Element({shift: mu})
         q = q + mono
         r = r - c * mono

@@ -293,11 +293,7 @@ def _eval_poly(node, n: int) -> PolyXn:
     if isinstance(node, Neg):
         return -_eval_poly(node.arg, n)
     if isinstance(node, Pow):
-        base = _eval_poly(node.base, n)
-        acc = PolyXn.one(n)
-        for _ in range(node.exp):
-            acc = acc * base
-        return acc
+        return _eval_poly(node.base, n) ** node.exp
     if isinstance(node, Mul):
         acc = PolyXn.one(n)
         for f in node.factors:

@@ -11,22 +11,21 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DivisionByZero, ZeroPolynomial
-
-Rat = Fraction
+from .sparse import Sparse
 
 
 def _as_rat(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-class PolyH:
+class PolyH(Sparse):
     """Sparse polynomial in H with rational coefficients.
 
     Immutable; zero coefficients are never stored.  The degree of the zero
     polynomial is None.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         c = {}
@@ -37,7 +36,7 @@ class PolyH:
                     c[int(d)] = c.get(int(d), Fraction(0)) + v
                     if not c[int(d)]:
                         del c[int(d)]
-        self._c = c
+        self.terms = c
 
     @classmethod
     def const(cls, v) -> "PolyH":
@@ -47,67 +46,27 @@ class PolyH:
     def monomial(cls, degree: int, coeff=1) -> "PolyH":
         return cls({degree: _as_rat(coeff)})
 
+    def _scalar(self, v) -> "PolyH":
+        return PolyH.const(v)
+
+    def _unit_key(self):
+        return 0
+
     @property
     def coeffs(self):
-        return dict(self._c)
+        return dict(self.terms)
 
     def coeff(self, d: int) -> Fraction:
-        return self._c.get(d, Fraction(0))
+        return self.terms.get(d, Fraction(0))
 
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return max(self._c) if self._c else None
-
-    def is_zero(self) -> bool:
-        return not self._c
+        return max(self.terms) if self.terms else None
 
     def leading_coeff(self) -> Fraction:
-        if not self._c:
+        if not self.terms:
             return Fraction(0)
-        return self._c[max(self._c)]
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyH.const(other)
-        if not isinstance(other, PolyH):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        # a constant equals its Fraction value, so it hashes as that value
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, 0))
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyH.const(other)
-        out = dict(self._c)
-        for d, v in other._c.items():
-            out[d] = out.get(d, Fraction(0)) + v
-            if not out[d]:
-                del out[d]
-        r = PolyH.__new__(PolyH)
-        r._c = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = PolyH.__new__(PolyH)
-        r._c = {d: -v for d, v in self._c.items()}
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyH.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return PolyH.const(other) - self
+        return self.terms[max(self.terms)]
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -115,53 +74,36 @@ class PolyH:
         if not isinstance(other, PolyH):
             return NotImplemented
         out = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
+        for d1, v1 in self.terms.items():
+            for d2, v2 in other.terms.items():
                 d = d1 + d2
                 out[d] = out.get(d, Fraction(0)) + v1 * v2
-        r = PolyH.__new__(PolyH)
-        r._c = {d: v for d, v in out.items() if v}
-        return r
+        return self._new({d: v for d, v in out.items() if v})
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyH.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def shift(self, k: int) -> "PolyH":
         """Apply tau^k: result(H) = self(H + k)."""
-        if k == 0 or not self._c:
+        if k == 0 or not self.terms:
             return self
         out = {}
-        for d, v in self._c.items():
+        for d, v in self.terms.items():
             # (H + k)^d expanded by the binomial theorem
             for m in range(d + 1):
                 c = v * comb(d, m) * Fraction(k) ** (d - m)
                 if c:
                     out[m] = out.get(m, Fraction(0)) + c
-        r = PolyH.__new__(PolyH)
-        r._c = {d: v for d, v in out.items() if v}
-        return r
+        return self._new({d: v for d, v in out.items() if v})
 
     def __call__(self, v) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         v = _as_rat(v)
-        if not self._c:
+        if not self.terms:
             return Fraction(0)
-        top = max(self._c)
+        top = max(self.terms)
         acc = Fraction(0)
         for d in range(top, -1, -1):
-            acc = acc * v + self._c.get(d, Fraction(0))
+            acc = acc * v + self.terms.get(d, Fraction(0))
         return acc
 
     def monic(self) -> "PolyH":
@@ -194,11 +136,11 @@ class PolyH:
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
-        if not self._c:
+        if not self.terms:
             return "0"
         parts = []
-        for d in sorted(self._c, reverse=True):
-            v = self._c[d]
+        for d in sorted(self.terms, reverse=True):
+            v = self.terms[d]
             if d == 0:
                 body = str(abs(v))
             else:
@@ -216,14 +158,6 @@ class PolyH:
 
 H = PolyH.monomial(1)
 ONE = PolyH.const(1)
-
-
-def poly_shift(p: PolyH, k: int) -> PolyH:
-    return p.shift(k)
-
-
-def poly_eval(p: PolyH, v) -> Fraction:
-    return p(v)
 
 
 def nonneg_shifted_roots(p: PolyH):
@@ -333,7 +267,10 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RatFunc) else RatFunc(PolyH.const(-other)))
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PolyH)):

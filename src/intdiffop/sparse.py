@@ -1,0 +1,131 @@
+"""The one sparse core behind every element type of the engine.
+
+Polynomials in H and in x, elements of the one- and n-variable algebras and
+skew Laurent polynomials are all finite sums: a map from basis keys to
+nonzero coefficients.  `Sparse` holds that map in `terms` and owns the only
+copies of the linear operations, equality, hashing and powers.  Each
+subclass keeps its own constructor and, where it has one, its product rule,
+and supplies the element c*1 (`_scalar`) and the key of 1 (`_unit_key`);
+a subclass whose elements carry context, such as a factor count, also
+supplies `_new`, `_check` and `_context`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class Sparse:
+    """Key -> nonzero coefficient map; immutable by convention."""
+
+    __slots__ = ("terms",)
+
+    def _scalar(self, v) -> "Sparse":
+        """The element v*1 in the context of self."""
+        raise NotImplementedError
+
+    def _unit_key(self):
+        """The key of the basis element 1."""
+        raise NotImplementedError
+
+    def _new(self, terms: dict) -> "Sparse":
+        """An element with self's context over already normalised terms."""
+        r = object.__new__(type(self))
+        r.terms = terms
+        return r
+
+    def _check(self, other: "Sparse"):
+        """Raise if other lives in a different context than self."""
+
+    def _context(self) -> tuple:
+        """What besides the terms tells elements of this type apart."""
+        return ()
+
+    def _operand(self, other):
+        """other as an element of self's context, or None for a foreign type."""
+        if isinstance(other, (int, Fraction)):
+            return self._scalar(other)
+        if type(other) is not type(self):
+            return None
+        self._check(other)
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._scalar(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and self._context() == other._context()
+
+    def __hash__(self):
+        # a scalar equals its Fraction value, so it hashes as that value
+        unit = self._unit_key()
+        if self.terms.keys() <= {unit}:
+            return hash(self.terms.get(unit, 0))
+        return hash((self._context(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            w = v if w is None else w + v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            w = -v if w is None else w - v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+        return self._new(out)
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scalar(other) - self
+        return NotImplemented
+
+    def scale(self, c) -> "Sparse":
+        """c * self for a rational c."""
+        if not c:
+            return self._new({})
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+    def __pow__(self, k: int):
+        # binary powering that stops squaring after the last bit: **k makes
+        # popcount(k) + bit_length(k) - 1 products
+        if k < 0:
+            raise ValueError("negative power")
+        result = self._scalar(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result

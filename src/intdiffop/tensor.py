@@ -19,13 +19,14 @@ from .i1 import (
     I1Element,
     IntMon,
     MatUnit,
-    PolyX,
     _mono_apply,
     _mono_mul_into,
     mono_degree,
     mono_involution,
+    quotient_terms,
 )
 from .polyh import PolyH
+from .sparse import Sparse
 
 MODE_FULL = "I"
 MODE_QUOT = "B"
@@ -79,10 +80,10 @@ def _factor_degree(m, mode) -> int:
     return mono_degree(m)
 
 
-class InElement:
+class InElement(Sparse):
     """Element over n tensor factors with per-factor mode flags."""
 
-    __slots__ = ("n", "modes", "terms")
+    __slots__ = ("n", "modes")
 
     def __init__(self, n: int, terms=None, modes=None):
         if n < 1:
@@ -112,11 +113,16 @@ class InElement:
     def from_scalar(cls, n: int, v, modes=None) -> "InElement":
         return cls.one(n, modes).scale(v)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, v) -> "InElement":
+        return InElement.from_scalar(self.n, v, self.modes)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _unit_key(self):
+        return _unit(self.modes)
+
+    def _new(self, terms: dict) -> "InElement":
+        r = object.__new__(InElement)
+        r.n, r.modes, r.terms = self.n, self.modes, terms
+        return r
 
     def _check(self, other: "InElement"):
         if self.n != other.n:
@@ -124,49 +130,8 @@ class InElement:
         if self.modes != other.modes:
             raise ModeMismatch(f"{self.modes} vs {other.modes}")
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = InElement.from_scalar(self.n, other, self.modes)
-        if not isinstance(other, InElement):
-            return NotImplemented
-        return (self.n, self.modes, self.terms) == (other.n, other.modes, other.terms)
-
-    def __hash__(self):
-        # a scalar equals its Fraction value, so it hashes as that value
-        unit = _unit(self.modes)
-        if self.terms.keys() <= {unit}:
-            return hash(self.terms.get(unit, 0))
-        return hash((self.n, self.modes, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = InElement.from_scalar(self.n, other, self.modes)
-        self._check(other)
-        out = dict(self.terms)
-        for tup, v in other.terms.items():
-            out[tup] = out.get(tup, Fraction(0)) + v
-            if not out[tup]:
-                del out[tup]
-        return InElement(self.n, out, self.modes)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return InElement(self.n, {t: -v for t, v in self.terms.items()}, self.modes)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = InElement.from_scalar(self.n, other, self.modes)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return InElement.from_scalar(self.n, other, self.modes) - self
-
-    def scale(self, c) -> "InElement":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return InElement(self.n, None, self.modes)
-        return InElement(self.n, {t: c * v for t, v in self.terms.items()}, self.modes)
+    def _context(self) -> tuple:
+        return self.n, self.modes
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -196,25 +161,14 @@ class InElement:
                         out[tup] = v
                     else:
                         out.pop(tup, None)
-        return InElement(self.n, out, self.modes)
+        return self._new(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative operator power")
-        result = InElement.one(self.n, self.modes)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    __pow__ = Sparse.__pow__
 
     def involution(self) -> "InElement":
         out = {}
@@ -313,10 +267,10 @@ def _gen(n: int, i: int, mon) -> InElement:
     return InElement(n, {tup: Fraction(1)})
 
 
-class PolyXn:
+class PolyXn(Sparse):
     """Sparse polynomial in x_1..x_n, multidegree -> rational coefficient."""
 
-    __slots__ = ("n", "_c")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
@@ -326,7 +280,7 @@ class PolyXn:
                 v = v if isinstance(v, Fraction) else Fraction(v)
                 if v:
                     c[tuple(deg)] = v
-        self._c = c
+        self.terms = c
 
     @classmethod
     def one(cls, n: int) -> "PolyXn":
@@ -336,62 +290,45 @@ class PolyXn:
     def monomial(cls, n: int, deg, coeff=1) -> "PolyXn":
         return cls(n, {tuple(deg): Fraction(coeff)})
 
-    @property
-    def coeffs(self):
-        return dict(self._c)
+    def _scalar(self, v) -> "PolyXn":
+        return PolyXn(self.n, {(0,) * self.n: v})
 
-    def is_zero(self) -> bool:
-        return not self._c
+    def _unit_key(self):
+        return (0,) * self.n
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyXn):
-            return NotImplemented
-        return self.n == other.n and self._c == other._c
+    def _new(self, terms: dict) -> "PolyXn":
+        r = object.__new__(PolyXn)
+        r.n, r.terms = self.n, terms
+        return r
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self._c.items())))
-
-    def __add__(self, other):
+    def _check(self, other: "PolyXn"):
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} variables vs {other.n}")
-        out = dict(self._c)
-        for d, v in other._c.items():
-            out[d] = out.get(d, Fraction(0)) + v
-            if not out[d]:
-                del out[d]
-        return PolyXn(self.n, out)
 
-    def __neg__(self):
-        return PolyXn(self.n, {d: -v for d, v in self._c.items()})
+    def _context(self) -> tuple:
+        return (self.n,)
 
-    def __sub__(self, other):
-        return self + (-other)
+    @property
+    def coeffs(self):
+        return dict(self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} variables vs {other.n}")
+        if not isinstance(other, PolyXn):
+            return NotImplemented
+        self._check(other)
         out = {}
-        for d1, v1 in self._c.items():
-            for d2, v2 in other._c.items():
+        for d1, v1 in self.terms.items():
+            for d2, v2 in other.terms.items():
                 d = tuple(a + b for a, b in zip(d1, d2))
                 out[d] = out.get(d, Fraction(0)) + v1 * v2
                 if not out[d]:
                     del out[d]
-        return PolyXn(self.n, out)
-
-    def scale(self, c) -> "PolyXn":
-        c = Fraction(c)
-        return PolyXn(self.n, {d: c * v for d, v in self._c.items()} if c else None)
-
-    def to_poly_x(self) -> PolyX:
-        if self.n != 1:
-            raise DimensionMismatch("only n = 1 converts to a one-variable polynomial")
-        return PolyX({d[0]: v for d, v in self._c.items()})
+        return self._new(out)
 
     def __repr__(self):
-        return f"PolyXn(n={self.n}, {self._c})"
+        return f"PolyXn(n={self.n}, {self.terms})"
 
 
 def apply_n(a: InElement, p: PolyXn) -> PolyXn:
@@ -423,19 +360,6 @@ def apply_n(a: InElement, p: PolyXn) -> PolyXn:
     return PolyXn(a.n, out)
 
 
-def _i1_to_b1_monos(m) -> dict:
-    """Image of a full-mode monomial in the quotient: d -> D, int -> D^-1."""
-    if isinstance(m, MatUnit):
-        return {}
-    if isinstance(m, DiffMon):
-        return {B1Mon(m.i, m.j): Fraction(1)}
-    if isinstance(m, HMon):
-        return {B1Mon(0, m.j): Fraction(1)}
-    # int^i H^j = D^-i H^j = (H-i)^j D^-i
-    p = PolyH.monomial(m.j).shift(-m.i)
-    return {B1Mon(-m.i, j): c for j, c in p.coeffs.items()}
-
-
 def project_modulo_prime(a: InElement, index_set) -> InElement:
     """Quotient by the sum of the height-one primes at the given factors.
 
@@ -455,7 +379,7 @@ def project_modulo_prime(a: InElement, index_set) -> InElement:
         partial = [((), v)]
         for k in range(a.n):
             if k in idx and a.modes[k] == MODE_FULL:
-                fk = _i1_to_b1_monos(tup[k])
+                fk = {B1Mon(d, j): c for d, j, c in quotient_terms(tup[k])}
             else:
                 fk = {tup[k]: Fraction(1)}
             if not fk:

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from intdiffop import I1Element, InElement, PolyH, RatFunc
+from intdiffop import I1Element, InElement, PolyH, PolyX, PolyXn, RatFunc
 from intdiffop.laurent import B1Element, CalB1Element
 
 SCALARS = {
     "PolyH": PolyH.const,
     "RatFunc": RatFunc.const,
+    "PolyX": lambda v: PolyX({0: v}),
+    "PolyXn": lambda v: PolyXn(2, {(0, 0): v}),
     "I1Element": I1Element.from_scalar,
     "InElement": lambda v: InElement.from_scalar(2, v),
     "InElement-quotient": lambda v: InElement.from_scalar(2, v, ("I", "B")),

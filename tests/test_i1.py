@@ -27,6 +27,7 @@ from intdiffop import i1
 from intdiffop.errors import ZeroPolynomial
 from intdiffop.i1 import _mono_mul_into, _mono_reduce, from_polyh
 from intdiffop.laurent import B1Element
+from intdiffop.tensor import B1Mon, from_i1, project_modulo_prime
 
 from conftest import (
     apply_matches,
@@ -181,6 +182,16 @@ class TestRingOps:
             assert a * (b + c) == a * b + a * c
             assert (a + b) * c == a * c + b * c
 
+    def test_foreign_operand_raises(self):
+        # an element over n factors is a different type, even at n = 1
+        with pytest.raises(TypeError):
+            D + from_i1(H)
+        with pytest.raises(TypeError):
+            from_i1(H) + D
+        with pytest.raises(TypeError):
+            D - from_i1(H)
+        assert D != from_i1(D)
+
 
 class TestInvolution:
     def test_matrix_units(self):
@@ -258,6 +269,18 @@ class TestProjectB1:
         for _ in range(200):
             a = rand_i1(rng)
             assert project_B1(a).is_zero() == a.is_in_F()
+
+    def test_agrees_with_quotient_mode(self):
+        rng = random.Random(30)
+        for _ in range(100):
+            a = rand_i1(rng)
+            image = project_modulo_prime(from_i1(a), {1}).terms
+            want = {
+                (B1Mon(d, j),): c
+                for d, p in project_B1(a).coeffs.items()
+                for j, c in p.coeffs.items()
+            }
+            assert image == want
 
 
 class TestApply:

@@ -150,6 +150,27 @@ class TestRatFunc:
             assert (f * g).shift(k) == f.shift(k) * g.shift(k)
 
 
+class TestForeignOperands:
+    """An operand of another type is left to that type's reflected method."""
+
+    def test_poly_plus_ratfunc(self):
+        assert H + RatFunc(H) == RatFunc(2 * H)
+        assert PolyH.const(1) + RatFunc(PolyH.const(1), H) == RatFunc(H + 1, H)
+
+    def test_ratfunc_minus_poly(self):
+        assert RatFunc(H) - H == 0
+        assert RatFunc(PolyH.const(1), H) - 1 == RatFunc(1 - H, H)
+
+    def test_poly_minus_ratfunc(self):
+        assert H - RatFunc(PolyH.const(1), H) == RatFunc(H * H - 1, H)
+
+    def test_unrelated_operand_raises(self):
+        with pytest.raises(TypeError):
+            H + "H"
+        with pytest.raises(TypeError):
+            H - [1]
+
+
 class TestText:
     def test_poly_text(self):
         assert (2 * H**2 - Fraction(1, 3)).to_text() == "2*H^2 - 1/3"

@@ -6,7 +6,17 @@ from functools import reduce
 
 import pytest
 
-from intdiffop import I1Element, InElement, MatUnit, PolyH, RatFunc, generators, parse_operator
+from intdiffop import (
+    I1Element,
+    InElement,
+    MatUnit,
+    PolyH,
+    PolyXn,
+    RatFunc,
+    generators,
+    parse_operator,
+    parse_poly,
+)
 from intdiffop.laurent import CalB1Element
 
 D, INT, H, X = generators()
@@ -16,6 +26,7 @@ BASES = {
     "I1Element": (D + 2 * INT - H + X + I1Element.from_mono(MatUnit(1, 0)), I1Element.from_scalar(1)),
     "InElement": (parse_operator("d1 + int2 - H1*x2 + 1/2*e1[0,1]", 2), InElement.one(2)),
     "PolyH": (PolyH({0: 1, 1: Fraction(-1, 2), 2: 3}), PolyH.const(1)),
+    "PolyXn": (parse_poly("x1 - 2/3*x2^2 + 1", 2), PolyXn.one(2)),
     "CalB1Element": (
         CalB1Element({-1: HP, 0: Fraction(2, 3), 1: RatFunc(PolyH.const(1), HP + 1)}),
         CalB1Element({0: 1}),
