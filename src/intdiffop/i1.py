@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ZeroPolynomial
+from .laurent import B1Element
 from .polyh import PolyH, nonneg_shifted_roots
 from .sparse import Sparse
 
@@ -460,8 +461,8 @@ def quotient_terms(m) -> tuple:
         return ((m.i, m.j, 1),)
     if isinstance(m, HMon):
         return ((0, m.j, 1),)
-    # int^i H^j = D^-i H^j = (H-i)^j D^-i
-    return tuple((-m.i, j, c) for j, c in PolyH.monomial(m.j).shift(-m.i).terms.items())
+    # int^i H^j = D^-i H^j, commuted by the skew rule
+    return tuple((B1Element.monomial(-m.i, 0) * B1Element.monomial(0, m.j)).monomials())
 
 
 def project_B1(a: I1Element):
@@ -469,8 +470,6 @@ def project_B1(a: I1Element):
 
     Kills exactly the matrix-unit terms; the kernel is F.
     """
-    from .laurent import B1Element
-
     coeffs = {}
     for m, v in a.terms.items():
         for d, j, c in quotient_terms(m):

@@ -107,6 +107,15 @@ class B1Element(_Skew):
             return v
         return PolyH.const(v)
 
+    @classmethod
+    def monomial(cls, d: int, j: int) -> "B1Element":
+        """H^j D^d."""
+        return cls({d: PolyH.monomial(j)})
+
+    def monomials(self):
+        """(d, j, c) for each term c H^j D^d."""
+        return ((d, j, c) for d, p in self.terms.items() for j, c in p.terms.items())
+
     def to_calb1(self) -> "CalB1Element":
         """Embedding into the K(H) version; commutes with multiplication."""
         return CalB1Element({d: RatFunc(p) for d, p in self.terms.items()})

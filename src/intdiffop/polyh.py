@@ -243,10 +243,18 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def __eq__(self, other):
+    @staticmethod
+    def _operand(other):
+        """other as a RatFunc, or None for a foreign type."""
+        if isinstance(other, RatFunc):
+            return other
         if isinstance(other, (int, Fraction, PolyH)):
-            other = RatFunc(other if isinstance(other, PolyH) else PolyH.const(other))
-        if not isinstance(other, RatFunc):
+            return RatFunc(other)
+        return None
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -257,14 +265,18 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PolyH)):
-            other = RatFunc(other if isinstance(other, PolyH) else PolyH.const(other))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # negating a reduced pair with a monic denominator keeps it reduced
+        r = object.__new__(RatFunc)
+        r.num, r.den = -self.num, self.den
+        return r
 
     def __sub__(self, other):
         return self + (-other)
@@ -273,8 +285,9 @@ class RatFunc:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyH)):
-            other = RatFunc(other if isinstance(other, PolyH) else PolyH.const(other))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -285,8 +298,9 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, PolyH)):
-            other = RatFunc(other if isinstance(other, PolyH) else PolyH.const(other))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self * other.inverse()
 
     def shift(self, k: int) -> "RatFunc":

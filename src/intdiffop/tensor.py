@@ -2,9 +2,10 @@
 
 An element is a sparse rational combination of n-tuples of factor monomials.
 Each factor is either in full mode (basis monomials of the one-variable
-algebra) or in quotient mode (Laurent monomials H^j D^d with D invertible,
-no matrix units).  Quotients by sums of the height-one primes are realized
-by flipping factors into quotient mode.
+algebra) or in quotient mode (the monomials H^j D^d of the skew Laurent
+algebra `B1Element`, whose rule D^k p(H) = p(H+k) D^k they multiply by).
+Quotients by sums of the height-one primes are realized by flipping factors
+into quotient mode.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from .i1 import (
     I1Element,
     IntMon,
     MatUnit,
+    _acc,
     _mono_apply,
     _mono_mul_into,
     mono_degree,
     mono_involution,
     quotient_terms,
 )
-from .polyh import PolyH
+from .laurent import B1Element
 from .sparse import Sparse
 
 MODE_FULL = "I"
@@ -40,14 +42,32 @@ class B1Mon:
     j: int
 
 
-def _b1_mul_into(m1: B1Mon, m2: B1Mon, out: dict, scale: Fraction):
-    # H^j1 D^d1 * H^j2 D^d2 = H^j1 (H+d1)^j2 D^(d1+d2)
-    p = PolyH.monomial(m1.j) * PolyH.monomial(m2.j).shift(m1.d)
-    for j, c in p.coeffs.items():
-        mon = B1Mon(m1.d + m2.d, j)
-        out[mon] = out.get(mon, Fraction(0)) + scale * c
-        if not out[mon]:
-            del out[mon]
+def _b1_monos(triples) -> dict:
+    """{B1Mon(d, j): c} from (d, j, c) triples with distinct (d, j)."""
+    return {B1Mon(d, j): c for d, j, c in triples}
+
+
+def _b1_mul_into(m1: B1Mon, m2: B1Mon, out: dict):
+    """Accumulate m1 * m2 into `out`, multiplied as `B1Element`s."""
+    p = B1Element.monomial(m1.d, m1.j) * B1Element.monomial(m2.d, m2.j)
+    for d, j, c in p.monomials():
+        _acc(out, B1Mon(d, j), c)
+
+
+def _expand_into(out: dict, factor_maps, c):
+    """Accumulate c times the tensor product of the per-factor maps
+    (monomial -> coefficient) into `out`; an empty map makes it zero."""
+    partial = [((), c)]
+    for fk in factor_maps:
+        if not fk:
+            return
+        partial = [
+            (pref + (m,), v if fc == 1 else v * fc)
+            for pref, v in partial
+            for m, fc in fk.items()
+        ]
+    for tup, v in partial:
+        _acc(out, tup, v)
 
 
 def _unit(modes) -> tuple:
@@ -58,7 +78,7 @@ def _unit(modes) -> tuple:
 def _factor_mul(m1, m2, mode) -> dict:
     out = {}
     if mode == MODE_QUOT:
-        _b1_mul_into(m1, m2, out, Fraction(1))
+        _b1_mul_into(m1, m2, out)
     else:
         # an int scale keeps the memo's int coefficients: no Fraction product
         _mono_mul_into(m1, m2, out, 1)
@@ -67,10 +87,14 @@ def _factor_mul(m1, m2, mode) -> dict:
 
 def _factor_involution(m, mode) -> dict:
     if mode == MODE_QUOT:
-        # (H^j D^d)* = D^-d H^j = (H-d)^j D^-d
-        p = PolyH.monomial(m.j).shift(-m.d)
-        return {B1Mon(-m.d, j): c for j, c in p.coeffs.items()}
-    return {mono_involution(m): Fraction(1)}
+        # (H^j D^d)* = D^-d H^j
+        b = B1Element.monomial(-m.d, 0) * B1Element.monomial(0, m.j)
+        return _b1_monos(b.monomials())
+    return {mono_involution(m): 1}
+
+
+def _factor_projection(m, flip: bool) -> dict:
+    return _b1_monos(quotient_terms(m)) if flip else {m: 1}
 
 
 def _factor_degree(m, mode) -> int:
@@ -139,28 +163,10 @@ class InElement(Sparse):
         if not isinstance(other, InElement):
             return NotImplemented
         self._check(other)
-        out = {}
+        out, modes = {}, self.modes
         for t1, v1 in self.terms.items():
             for t2, v2 in other.terms.items():
-                # factorwise products, then multilinear cross-expansion
-                partial = [((), v1 * v2)]
-                for k in range(self.n):
-                    fk = _factor_mul(t1[k], t2[k], self.modes[k])
-                    if not fk:
-                        partial = []
-                        break
-                    partial = [
-                        (pref + (m,), c if fc == 1 else c * fc)
-                        for pref, c in partial
-                        for m, fc in fk.items()
-                    ]
-                for tup, c in partial:
-                    v = out.get(tup)
-                    v = c if v is None else v + c
-                    if v:
-                        out[tup] = v
-                    else:
-                        out.pop(tup, None)
+                _expand_into(out, map(_factor_mul, t1, t2, modes), v1 * v2)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -173,19 +179,8 @@ class InElement(Sparse):
     def involution(self) -> "InElement":
         out = {}
         for tup, v in self.terms.items():
-            partial = [((), v)]
-            for k in range(self.n):
-                fk = _factor_involution(tup[k], self.modes[k])
-                partial = [
-                    (pref + (m,), c * fc)
-                    for pref, c in partial
-                    for m, fc in fk.items()
-                ]
-            for t, c in partial:
-                out[t] = out.get(t, Fraction(0)) + c
-                if not out[t]:
-                    del out[t]
-        return InElement(self.n, out, self.modes)
+            _expand_into(out, map(_factor_involution, tup, self.modes), v)
+        return self._new(out)
 
     def grade_component(self, d: int) -> "InElement":
         out = {
@@ -219,19 +214,11 @@ def tensor(factors) -> InElement:
     factors = list(factors)
     if not factors:
         raise EmptyFactorList("tensor of zero factors")
-    n = len(factors)
-    terms = {(): Fraction(1)}
-    for f in factors:
-        if not isinstance(f, I1Element):
-            raise ModeMismatch("tensor factors must be full-mode elements")
-        new = {}
-        for tup, v in terms.items():
-            for m, c in f.terms.items():
-                new[tup + (m,)] = v * c
-        terms = new
-        if not terms:
-            break
-    return InElement(n, terms)
+    if not all(isinstance(f, I1Element) for f in factors):
+        raise ModeMismatch("tensor factors must be full-mode elements")
+    out = {}
+    _expand_into(out, (f.terms for f in factors), Fraction(1))
+    return InElement(len(factors), out)
 
 
 def from_i1(a: I1Element) -> InElement:
@@ -370,28 +357,11 @@ def project_modulo_prime(a: InElement, index_set) -> InElement:
     for i in idx:
         if not 0 <= i < a.n:
             raise DimensionMismatch(f"factor index {i + 1} outside 1..{a.n}")
-    modes = tuple(
-        MODE_QUOT if (k in idx or m == MODE_QUOT) else MODE_FULL
-        for k, m in enumerate(a.modes)
-    )
+    flips = [k in idx and m == MODE_FULL for k, m in enumerate(a.modes)]
+    modes = tuple(MODE_QUOT if f else m for f, m in zip(flips, a.modes))
     out = {}
     for tup, v in a.terms.items():
-        partial = [((), v)]
-        for k in range(a.n):
-            if k in idx and a.modes[k] == MODE_FULL:
-                fk = {B1Mon(d, j): c for d, j, c in quotient_terms(tup[k])}
-            else:
-                fk = {tup[k]: Fraction(1)}
-            if not fk:
-                partial = []
-                break
-            partial = [
-                (pref + (m,), c * fc) for pref, c in partial for m, fc in fk.items()
-            ]
-        for t, c in partial:
-            out[t] = out.get(t, Fraction(0)) + c
-            if not out[t]:
-                del out[t]
+        _expand_into(out, map(_factor_projection, tup, flips), v)
     return InElement(a.n, out, modes)
 
 

@@ -1,11 +1,12 @@
 """Exact arithmetic in H: polynomials, rational functions, the shift map."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from intdiffop import PolyH, RatFunc, nonneg_shifted_roots
+from intdiffop import PolyH, RatFunc, generators, nonneg_shifted_roots
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
 
 from conftest import rand_polyh, rand_polyh_nonzero, rand_ratfunc
@@ -149,6 +150,23 @@ class TestRatFunc:
             k = rng.randint(-3, 3)
             assert (f * g).shift(k) == f.shift(k) * g.shift(k)
 
+    def test_negation_keeps_reduced_pair(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            f = rand_ratfunc(rng)
+            assert -f == RatFunc(-f.num, f.den)
+            assert -(-f) == f and f + (-f) == 0
+
+    def test_negation_runs_no_gcd(self, monkeypatch):
+        rng = random.Random(20)
+        fs = [rand_ratfunc(rng) for _ in range(20)]
+        calls = []
+        gcd = PolyH.gcd
+        monkeypatch.setattr(PolyH, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        for f in fs:
+            -f
+        assert calls == []
+
 
 class TestForeignOperands:
     """An operand of another type is left to that type's reflected method."""
@@ -169,6 +187,15 @@ class TestForeignOperands:
             H + "H"
         with pytest.raises(TypeError):
             H - [1]
+
+    def test_ratfunc_with_operator_raises_type_error(self):
+        d = generators()[0]
+        f = RatFunc(H)
+        for op in (operator.add, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(f, d)
+            with pytest.raises(TypeError):
+                op(f, "H")
 
 
 class TestText:

@@ -60,6 +60,12 @@ class TestTensor:
         with pytest.raises(EmptyFactorList):
             tensor([])
 
+    def test_every_factor_is_checked(self):
+        # a zero factor before the bad one must not end the check early
+        for factors in ([I1Element(), 5], [D1, I1Element(), "d"], [gen_h(1, 1)]):
+            with pytest.raises(ModeMismatch):
+                tensor(factors)
+
     def test_round_trip_n1(self):
         rng = random.Random(42)
         for _ in range(20):
@@ -165,11 +171,25 @@ class TestProjectModuloPrime:
 
     def test_multiplicative(self):
         rng = random.Random(48)
-        for _ in range(60):
-            a, b = rand_in(rng, 2), rand_in(rng, 2)
-            idx = rng.sample([1, 2], rng.randint(1, 2))
-            pa, pb = project_modulo_prime(a, idx), project_modulo_prime(b, idx)
-            assert project_modulo_prime(a * b, idx) == pa * pb
+        for n in (1, 2, 3):
+            for _ in range(60):
+                a, b = rand_in(rng, n), rand_in(rng, n)
+                idx = rng.sample(range(1, n + 1), rng.randint(1, n))
+                pa, pb = project_modulo_prime(a, idx), project_modulo_prime(b, idx)
+                assert project_modulo_prime(a * b, idx) == pa * pb
+
+    def test_involution_in_quotient_mode(self):
+        # the involution of the quotient is an anti-automorphism of order 2
+        # and the projection intertwines it with the involution upstairs
+        rng = random.Random(51)
+        for n in (2, 3):
+            for _ in range(40):
+                a, b = rand_in(rng, n), rand_in(rng, n)
+                idx = rng.sample(range(1, n + 1), rng.randint(1, n))
+                pa, pb = project_modulo_prime(a, idx), project_modulo_prime(b, idx)
+                assert pa.involution().involution() == pa
+                assert (pa * pb).involution() == pb.involution() * pa.involution()
+                assert project_modulo_prime(a.involution(), idx) == pa.involution()
 
     def test_full_projection_kernel_is_maximal_ideal(self):
         # projecting every factor kills exactly the members of the maximal ideal
