@@ -339,42 +339,13 @@ def from_polyh(p: PolyH) -> I1Element:
     return I1Element({HMon(j): c for j, c in p.coeffs.items()})
 
 
-class PolyX(Sparse):
-    """Sparse polynomial in x with rational coefficients (monomial basis)."""
+class PolyX(PolyH):
+    """Polynomial in x, the module the algebra acts on: a PolyH printed in x."""
 
     __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    c[int(d)] = v
-        self.terms = c
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "PolyX":
-        return cls({degree: Fraction(coeff)})
-
-    def _scalar(self, v) -> "PolyX":
-        return PolyX({0: v})
-
-    def _unit_key(self):
-        return 0
-
-    @property
-    def coeffs(self):
-        return dict(self.terms)
-
-    def coeff(self, d: int) -> Fraction:
-        return self.terms.get(d, Fraction(0))
-
-    def __repr__(self):
-        if not self.terms:
-            return "PolyX(0)"
-        parts = [f"{v}*x^{d}" for d, v in sorted(self.terms.items())]
-        return "PolyX(" + " + ".join(parts) + ")"
+    def to_text(self, var: str = "x") -> str:
+        return PolyH.to_text(self, var)
 
 
 def _mono_apply(m, s: int):

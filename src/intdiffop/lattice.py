@@ -173,14 +173,14 @@ def minimal_primes_over(c: IdealAntichain):
     }
 
 
-def enumerate_ideals(n: int, limit: int = ENUMERATION_LIMIT):
+def enumerate_ideals(n: int):
     """All antichains over n slots in deterministic (lexicographic) order.
 
     The count is the Dedekind number: 3, 6, 20, 168, 7581, ... starting at
     n = 1.
     """
-    if n > limit:
-        raise LimitExceeded(f"n={n} beyond the enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise LimitExceeded(f"n={n} beyond the enumeration limit {ENUMERATION_LIMIT}")
     masks = list(range(1 << n))
     out = []
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .polyh import PolyH, RatFunc
+from .polyh import PolyH, RatFunc, join_terms, power_text
 from .sparse import Sparse
 
 
@@ -71,28 +71,19 @@ class _Skew(Sparse):
         return min(self.terms) if self.terms else None
 
     def to_text(self, dvar: str = "D", hvar: str = "H") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        segs = []
         for d in sorted(self.terms, reverse=True):
-            v = self.terms[d]
-            body = v.to_text(hvar)
-            neg = body.startswith("-")
-            if neg:
-                body = body[1:]
-            if d != 0:
-                dv = dvar if d == 1 else f"{dvar}^{d}"
-                if body == "1":
-                    body = dv
-                else:
-                    if "+" in body or "-" in body or "/" in body:
-                        body = f"({body})"
-                    body = f"{body}*{dv}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+            body = self.terms[d].to_text(hvar)
+            sign = -1 if body.startswith("-") else 1
+            body = body.removeprefix("-")
+            factors = power_text(dvar, d)
+            if factors and body != "1":
+                # a coefficient that is a sum or a quotient is bracketed
+                if "+" in body or "-" in body or "/" in body:
+                    body = f"({body})"
+                factors.insert(0, body)
+            segs.append((sign, "*".join(factors) or body))
+        return join_terms(segs)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"

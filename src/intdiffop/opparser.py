@@ -13,7 +13,7 @@ The factor index is mandatory and must lie in 1..n.  Rational literals are
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
-which also bounds the recursion of the evaluators over the parsed tree.
+which also bounds the recursion of the evaluator over the parsed tree.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import IndexOutOfRange, NegativeExponent, OperatorSyntaxError
 from .i1 import DiffMon, HMon, IntMon, MatUnit
+from .polyh import join_terms, poly_terms, power_text, term_text
 from .tensor import (
-    B1Mon,
     InElement,
     MODE_FULL,
     PolyXn,
@@ -113,6 +113,7 @@ class Num:
 class Gen:
     kind: str
     index: int
+    pos: int
     row: int = 0
     col: int = 0
 
@@ -241,227 +242,137 @@ class _Parser:
             if c.kind != "num" or c.value.denominator != 1:
                 raise OperatorSyntaxError("expected a natural column index", c.pos)
             self.expect_op("]")
-            return Gen("e", idx, int(r.value), int(c.value))
-        return Gen(t.value, idx)
+            return Gen("e", idx, t.pos, int(r.value), int(c.value))
+        return Gen(t.value, idx, t.pos)
 
 
 # ---------------------------------------------------------------- evaluation
 
-def _eval_operator(node, n: int) -> InElement:
+def _evaluate(node, one, leaf):
+    """The value of a parsed tree: a number v is one.scale(v), a generator
+    is leaf(node), and sums, products and powers are taken in one's ring."""
     if isinstance(node, Num):
-        return InElement.from_scalar(n, node.value)
+        return one.scale(node.value)
     if isinstance(node, Gen):
-        if not 1 <= node.index <= n:
-            raise IndexOutOfRange(f"index {node.index} outside 1..{n}")
-        if node.kind == "x":
-            return gen_x(n, node.index)
-        if node.kind == "d":
-            return gen_partial(n, node.index)
-        if node.kind == "int":
-            return gen_integ(n, node.index)
-        if node.kind == "H":
-            return gen_h(n, node.index)
-        return gen_e(n, node.index, node.row, node.col)
+        return leaf(node)
     if isinstance(node, Neg):
-        return -_eval_operator(node.arg, n)
+        return -_evaluate(node.arg, one, leaf)
     if isinstance(node, Pow):
-        return _eval_operator(node.base, n) ** node.exp
+        return _evaluate(node.base, one, leaf) ** node.exp
     if isinstance(node, Mul):
-        acc = InElement.from_scalar(n, 1)
+        acc = one
         for f in node.factors:
-            acc = acc * _eval_operator(f, n)
+            acc = acc * _evaluate(f, one, leaf)
         return acc
-    acc = InElement.zero(n)
+    acc = one.scale(0)
     for sign, part in node.parts:
-        v = _eval_operator(part, n)
+        v = _evaluate(part, one, leaf)
         acc = acc + v if sign > 0 else acc - v
     return acc
 
 
-def _eval_poly(node, n: int) -> PolyXn:
-    if isinstance(node, Num):
-        return PolyXn.one(n).scale(node.value)
-    if isinstance(node, Gen):
-        if node.kind != "x":
-            raise OperatorSyntaxError(
-                f"only x generators are allowed in polynomials, got {node.kind!r}", 0
-            )
-        if not 1 <= node.index <= n:
-            raise IndexOutOfRange(f"index {node.index} outside 1..{n}")
-        deg = tuple(1 if k == node.index - 1 else 0 for k in range(n))
-        return PolyXn.monomial(n, deg)
-    if isinstance(node, Neg):
-        return -_eval_poly(node.arg, n)
-    if isinstance(node, Pow):
-        return _eval_poly(node.base, n) ** node.exp
-    if isinstance(node, Mul):
-        acc = PolyXn.one(n)
-        for f in node.factors:
-            acc = acc * _eval_poly(f, n)
-        return acc
-    acc = PolyXn(n)
-    for sign, part in node.parts:
-        v = _eval_poly(part, n)
-        acc = acc + v if sign > 0 else acc - v
-    return acc
+def _check_index(g: Gen, n: int):
+    if not 1 <= g.index <= n:
+        raise IndexOutOfRange(f"index {g.index} outside 1..{n}")
+
+
+_OPERATOR_GENS = {"x": gen_x, "d": gen_partial, "int": gen_integ, "H": gen_h}
 
 
 def parse_operator(src: str, n: int = 1) -> InElement:
     """Parse an operator expression into its canonical element over n factors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _eval_operator(_Parser(src).parse(), n)
+
+    def leaf(g: Gen) -> InElement:
+        _check_index(g, n)
+        if g.kind == "e":
+            return gen_e(n, g.index, g.row, g.col)
+        return _OPERATOR_GENS[g.kind](n, g.index)
+
+    return _evaluate(_Parser(src).parse(), InElement.one(n), leaf)
 
 
 def parse_poly(src: str, n: int = 1) -> PolyXn:
     """Parse a commutative polynomial in x1..xn with rational coefficients."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _eval_poly(_Parser(src).parse(), n)
+
+    def leaf(g: Gen) -> PolyXn:
+        if g.kind != "x":
+            raise OperatorSyntaxError(
+                f"only x generators are allowed in polynomials, got {g.kind!r}", g.pos
+            )
+        _check_index(g, n)
+        return PolyXn.monomial(n, [int(k == g.index - 1) for k in range(n)])
+
+    return _evaluate(_Parser(src).parse(), PolyXn.one(n), leaf)
 
 
 # ---------------------------------------------------------------- printing
 
-def _poly_factor_text(p, idx: int) -> str:
-    """Polynomial in H as a single product factor, parenthesized if needed."""
-    coeffs = p.coeffs
-    if len(coeffs) == 1:
-        ((j, c),) = coeffs.items()
-        return _mono_text(c, _h_text(j, idx))
-    return None  # caller must parenthesize
-
-
-def _h_text(j: int, idx: int):
-    if j == 0:
-        return []
-    if j == 1:
-        return [f"H{idx}"]
-    return [f"H{idx}^{j}"]
-
-
-def _mono_text(coeff: Fraction, factors) -> tuple:
-    """(sign, body) for coeff * product(factors)."""
-    sign = 1 if coeff >= 0 else -1
-    coeff = abs(coeff)
-    if not factors:
-        return sign, str(coeff)
-    if coeff == 1:
-        return sign, "*".join(factors)
-    return sign, f"{coeff}*" + "*".join(factors)
-
-
-def _join_segments(segments) -> str:
-    if not segments:
-        return "0"
-    out = []
-    for k, (sign, body) in enumerate(segments):
-        if k == 0:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
-
-
-def _poly_text_inline(p, idx: int):
-    """Signed segments of a plain polynomial in H (no parentheses)."""
-    segs = []
-    for j in sorted(p.coeffs, reverse=True):
-        segs.append(_mono_text(p.coeffs[j], _h_text(j, idx)))
-    return segs
-
-
 def _format_i1(a: InElement) -> str:
-    """Eq.-(4)-ordered grouped form for a single factor."""
-    from .polyh import PolyH
-
-    dpolys, ipolys, eterms = {}, {}, {}
-    a0 = PolyH()
+    """Eq.-(4)-ordered grouped form for a single factor: H-polynomials to the
+    left of each d-power and to the right of each int-power."""
+    dpolys, a0, ipolys, eterms = {}, {}, {}, {}
     for (m,), v in a.terms.items():
         if isinstance(m, DiffMon):
-            dpolys[m.i] = dpolys.get(m.i, PolyH()) + PolyH.monomial(m.j, v)
+            dpolys.setdefault(m.i, {})[m.j] = v
         elif isinstance(m, HMon):
-            a0 = a0 + PolyH.monomial(m.j, v)
+            a0[m.j] = v
         elif isinstance(m, IntMon):
-            ipolys[m.i] = ipolys.get(m.i, PolyH()) + PolyH.monomial(m.j, v)
+            ipolys.setdefault(m.i, {})[m.j] = v
         else:
             eterms[(m.s, m.t)] = v
     segs = []
     for i in sorted(dpolys, reverse=True):
-        p = dpolys[i]
-        dtxt = f"d1^{i}" if i > 1 else "d1"
-        single = _poly_factor_text(p, 1)
-        if single is not None:
-            sign, body = single
-            body = dtxt if body == "1" else f"{body}*{dtxt}"
-            segs.append((sign, body))
-        else:
-            segs.append((1, f"({_join_segments(_poly_text_inline(p, 1))})*{dtxt}"))
-    segs.extend(_poly_text_inline(a0, 1))
+        segs.append(_grouped_text(dpolys[i], power_text("d1", i), True))
+    segs.extend(poly_terms(a0, "H1"))
     for i in sorted(ipolys):
-        p = ipolys[i]
-        itxt = f"int1^{i}" if i > 1 else "int1"
-        single = _poly_factor_text(p, 1)
-        if single is not None:
-            sign, body = single
-            body = itxt if body == "1" else _reorder_int(body, itxt)
-            segs.append((sign, body))
-        else:
-            segs.append((1, f"{itxt}*({_join_segments(_poly_text_inline(p, 1))})"))
+        segs.append(_grouped_text(ipolys[i], power_text("int1", i), False))
     for (s, t) in sorted(eterms):
-        segs.append(_mono_text(eterms[(s, t)], [f"e1[{s},{t}]"]))
-    return _join_segments(segs)
+        segs.append(term_text(eterms[(s, t)], [f"e1[{s},{t}]"]))
+    return join_terms(segs)
 
 
-def _reorder_int(body: str, itxt: str) -> str:
-    """Place the H-part to the right of the int-power (canonical order)."""
-    parts = body.split("*")
-    hpart = [p for p in parts if p.startswith("H")]
-    coeff = [p for p in parts if not p.startswith("H")]
-    return "*".join(coeff + [itxt] + hpart)
+def _grouped_text(p: dict, op: list, left: bool) -> tuple:
+    """(sign, body) of the polynomial p in H1 next to the factors op, on
+    their left or right; a polynomial of several terms is bracketed."""
+    if len(p) > 1:
+        inner = "(" + join_terms(poly_terms(p, "H1")) + ")"
+        return 1, "*".join([inner, *op] if left else [*op, inner])
+    ((j, c),) = p.items()
+    h = power_text("H1", j)
+    return term_text(c, h + op if left else op + h)
 
 
 def _factor_mono_text(m, idx: int):
-    if isinstance(m, HMon):
-        return _h_text(m.j, idx)
-    if isinstance(m, DiffMon):
-        d = f"d{idx}^{m.i}" if m.i > 1 else f"d{idx}"
-        return _h_text(m.j, idx) + [d]
-    if isinstance(m, IntMon):
-        it = f"int{idx}^{m.i}" if m.i > 1 else f"int{idx}"
-        return [it] + _h_text(m.j, idx)
     if isinstance(m, MatUnit):
         return [f"e{idx}[{m.s},{m.t}]"]
-    # quotient-mode Laurent monomial
-    d = [] if m.d == 0 else [f"D{idx}" if m.d == 1 else f"D{idx}^{m.d}"]
-    return _h_text(m.j, idx) + d
+    h = power_text(f"H{idx}", m.j)
+    if isinstance(m, DiffMon):
+        return h + power_text(f"d{idx}", m.i)
+    if isinstance(m, IntMon):
+        return power_text(f"int{idx}", m.i) + h
+    if isinstance(m, HMon):
+        return h
+    # quotient-mode Laurent monomial H^j D^d
+    return h + power_text(f"D{idx}", m.d)
 
 
 def format_operator(a: InElement) -> str:
     """Deterministic canonical text; parse(format(a)) = a for full-mode a."""
-    if a.is_zero():
-        return "0"
     if a.n == 1 and a.modes == (MODE_FULL,):
         return _format_i1(a)
-    segs = []
-    for tup, v in a.sorted_terms():
-        factors = []
-        for k, m in enumerate(tup):
-            factors.extend(_factor_mono_text(m, k + 1))
-        segs.append(_mono_text(v, factors))
-    return _join_segments(segs)
+    return join_terms(
+        term_text(v, [f for k, m in enumerate(tup) for f in _factor_mono_text(m, k + 1)])
+        for tup, v in a.sorted_terms()
+    )
 
 
 def format_poly(p: PolyXn) -> str:
     """Canonical text of a polynomial in x1..xn."""
-    if p.is_zero():
-        return "0"
-    segs = []
-    for deg in sorted(p.coeffs, key=lambda d: (sum(d), d), reverse=True):
-        factors = []
-        for k, e in enumerate(deg):
-            if e == 1:
-                factors.append(f"x{k + 1}")
-            elif e > 1:
-                factors.append(f"x{k + 1}^{e}")
-        segs.append(_mono_text(p.coeffs[deg], factors))
-    return _join_segments(segs)
+    return join_terms(
+        term_text(v, [f for k, e in enumerate(deg) for f in power_text(f"x{k + 1}", e)])
+        for deg, v in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    )

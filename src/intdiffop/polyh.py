@@ -8,7 +8,7 @@ shift automorphism tau (H -> H+1) is a first-class operation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DivisionByZero, ZeroPolynomial
 from .sparse import Sparse
@@ -16,6 +16,44 @@ from .sparse import Sparse
 
 def _as_rat(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+# ---------------------------------------------------------------- text rules
+# Every printer of the engine builds its text from these helpers.
+
+def power_text(var: str, e: int) -> list:
+    """The factors of var^e: none for e = 0, `var` for e = 1, else `var^e`."""
+    if e == 0:
+        return []
+    return [var] if e == 1 else [f"{var}^{e}"]
+
+
+def term_text(coeff, factors) -> tuple:
+    """(sign, body) for the rational coeff times the product of factors."""
+    sign = 1 if coeff >= 0 else -1
+    coeff = abs(coeff)
+    if not factors:
+        return sign, str(coeff)
+    if coeff == 1:
+        return sign, "*".join(factors)
+    return sign, "*".join([str(coeff), *factors])
+
+
+def poly_terms(p: dict, var: str) -> list:
+    """(sign, body) pairs of the polynomial degree -> coefficient p in var,
+    highest degree first."""
+    return [term_text(p[d], power_text(var, d)) for d in sorted(p, reverse=True)]
+
+
+def join_terms(segments) -> str:
+    """The signed sum of (sign, body) pairs, e.g. `a - b + c`; "0" when empty."""
+    out = []
+    for sign, body in segments:
+        if not out:
+            out.append(body if sign > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if sign > 0 else f"- {body}")
+    return " ".join(out) or "0"
 
 
 class PolyH(Sparse):
@@ -47,7 +85,7 @@ class PolyH(Sparse):
         return cls({degree: _as_rat(coeff)})
 
     def _scalar(self, v) -> "PolyH":
-        return PolyH.const(v)
+        return type(self).const(v)
 
     def _unit_key(self):
         return 0
@@ -70,8 +108,8 @@ class PolyH(Sparse):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PolyH.const(other)
-        if not isinstance(other, PolyH):
+            other = self._scalar(other)
+        elif type(other) is not type(self):
             return NotImplemented
         out = {}
         for d1, v1 in self.terms.items():
@@ -116,14 +154,14 @@ class PolyH(Sparse):
         """Euclidean division; other must be nonzero."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        q = PolyH()
+        q = self._new({})
         r = self
         dother = other.degree()
         lc = other.leading_coeff()
         while not r.is_zero() and r.degree() >= dother:
             d = r.degree() - dother
             c = r.leading_coeff() / lc
-            t = PolyH.monomial(d, c)
+            t = self._new({d: c})
             q = q + t
             r = r - t * other
         return q, r
@@ -136,24 +174,10 @@ class PolyH(Sparse):
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for d in sorted(self.terms, reverse=True):
-            v = self.terms[d]
-            if d == 0:
-                body = str(abs(v))
-            else:
-                vh = var if d == 1 else f"{var}^{d}"
-                body = vh if abs(v) == 1 else f"{abs(v)}*{vh}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_terms(poly_terms(self.terms, var))
 
     def __repr__(self):
-        return f"PolyH({self.to_text()})"
+        return f"{type(self).__name__}({self.to_text()})"
 
 
 H = PolyH.monomial(1)
@@ -172,21 +196,12 @@ def nonneg_shifted_roots(p: PolyH):
     low = min(c)
     shifted = {d - low: v for d, v in c.items()}
     # Clear denominators: positive integer roots divide the constant term.
-    denom_lcm = 1
-    for v in shifted.values():
-        denom_lcm = denom_lcm * v.denominator // _gcd(denom_lcm, v.denominator)
-    a0 = abs(int(shifted[0] * denom_lcm))
+    a0 = abs(int(shifted[0] * lcm(*(v.denominator for v in shifted.values()))))
     roots = set()
     for m in _positive_divisors(a0):
         if p(m) == 0:
             roots.add(m - 1)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _positive_divisors(a0: int):
@@ -233,9 +248,12 @@ class RatFunc:
     def const(cls, v) -> "RatFunc":
         return cls(PolyH.const(v))
 
-    @classmethod
-    def from_poly(cls, p: PolyH) -> "RatFunc":
-        return cls(p)
+    @staticmethod
+    def _reduced(num: PolyH, den: PolyH) -> "RatFunc":
+        """num/den for a coprime pair whose den is monic, without normalising."""
+        r = object.__new__(RatFunc)
+        r.num, r.den = num, den
+        return r
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -273,10 +291,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        # negating a reduced pair with a monic denominator keeps it reduced
-        r = object.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -295,7 +310,8 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        inv = 1 / self.num.leading_coeff()
+        return RatFunc._reduced(self.den.scale(inv), self.num.scale(inv))
 
     def __truediv__(self, other):
         other = self._operand(other)
@@ -304,7 +320,9 @@ class RatFunc:
         return self * other.inverse()
 
     def shift(self, k: int) -> "RatFunc":
-        return RatFunc(self.num.shift(k), self.den.shift(k))
+        # tau^k is a ring automorphism that keeps degrees and leading
+        # coefficients, so the shifted pair stays coprime with a monic den
+        return RatFunc._reduced(self.num.shift(k), self.den.shift(k))
 
     def to_text(self, var: str = "H") -> str:
         if self.den == ONE:

@@ -112,6 +112,22 @@ class TestInProcess:
         assert run(["project", "-n", "2", "int1*d2", "--primes", "1,2"]) == 0
         assert capsys.readouterr().out == "D1^-1*D2\n"
 
+    @pytest.mark.parametrize("args,lines", [
+        (["divide", "--left", "H1^2*d1^2 + 1/2*int1", "2*H1*d1 - 1"], [
+            "q = (1/2*H1 - 1/2)*D + (1/4*H1 - 1/2)/(H1 - 1)"
+            " + ((1/8*H1 - 3/8)/(H1^2 - 3*H1 + 2))*D^-1",
+            "r = ((1/2*H1^2 - 11/8*H1 + 5/8)/(H1^2 - 3*H1 + 2))*D^-1",
+        ]),
+        (["project", "-n", "3", "int1^2*H1*d2 - 1/2*x1*e3[1,0] + H2^2*d1^3*int3",
+          "--primes", "1,2"], [
+            "-2*D1^-2*D2 + H1*D1^-2*D2 + 1/2*D1^-1*e3[1,0]"
+            " - 1/2*H1*D1^-1*e3[1,0] + D1^3*H2^2*int3",
+        ]),
+    ])
+    def test_printed_text(self, args, lines, capsys):
+        assert run(args) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
 
 class TestNestingLimit:
     @pytest.mark.parametrize("args", [

@@ -2,6 +2,7 @@
 coefficient field."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from intdiffop import (
     B1Element,
     CalB1Element,
     PolyH,
+    RatFunc,
     generators,
     left_divide,
     length,
@@ -25,6 +27,17 @@ D, INT, _, _ = generators()
 
 def cal(coeffs):
     return CalB1Element(coeffs)
+
+
+class TestText:
+    @pytest.mark.parametrize("b,text", [
+        (B1Element({1: Fraction(1, 2)}), "(1/2)*D"),
+        (B1Element({1: H * Fraction(1, 2)}), "(1/2*H1)*D"),
+        (B1Element({-2: -H, 0: -1}), "-1 - H1*D^-2"),
+        (CalB1Element({2: -RatFunc(1, H)}), "-(1/H1)*D^2"),
+    ])
+    def test_to_text(self, b, text):
+        assert b.to_text("D", "H1") == text
 
 
 class TestMul:

@@ -101,6 +101,11 @@ class TestParsePoly:
         with pytest.raises(OperatorSyntaxError):
             parse_poly("d1", 1)
 
+    def test_operator_generator_position(self):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_poly("x1 + d1", 1)
+        assert exc.value.pos == 5
+
 
 class TestFormat:
     def test_one_minus_e(self):
@@ -128,11 +133,12 @@ class TestRoundTrip:
             a = from_i1(rand_i1(rng, terms=4))
             assert parse_operator(format_operator(a), 1) == a
 
-    def test_n2(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_n2(self, n):
         rng = random.Random(82)
         for _ in range(500):
-            a = rand_in(rng, 2, terms=3)
-            assert parse_operator(format_operator(a), 2) == a
+            a = rand_in(rng, n, terms=3)
+            assert parse_operator(format_operator(a), n) == a
 
     def test_poly_round_trip(self):
         rng = random.Random(83)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from intdiffop import PolyH, RatFunc, generators, nonneg_shifted_roots
+from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
 
 from conftest import rand_polyh, rand_polyh_nonzero, rand_ratfunc
@@ -167,6 +167,25 @@ class TestRatFunc:
             -f
         assert calls == []
 
+    def test_shift_and_inverse_keep_reduced_pair(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            f = rand_ratfunc(rng)
+            k = rng.randint(-3, 3)
+            assert f.shift(k) == RatFunc(f.num.shift(k), f.den.shift(k))
+            assert f.inverse() == RatFunc(f.den, f.num)
+
+    def test_shift_and_inverse_run_no_gcd(self, monkeypatch):
+        rng = random.Random(22)
+        fs = [rand_ratfunc(rng) for _ in range(20)]
+        calls = []
+        gcd = PolyH.gcd
+        monkeypatch.setattr(PolyH, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        for k, f in enumerate(fs):
+            f.shift(k - 10)
+            f.inverse()
+        assert calls == []
+
 
 class TestForeignOperands:
     """An operand of another type is left to that type's reflected method."""
@@ -204,3 +223,10 @@ class TestText:
 
     def test_zero_text(self):
         assert PolyH().to_text() == "0"
+
+    def test_poly_x_stays_poly_x(self):
+        p = PolyX({0: 1, 3: 2})
+        assert repr(p) == "PolyX(2*x^3 + 1)"
+        for q in (1 - p, 2 * p, p**2):
+            assert type(q) is PolyX
+        assert 2 * p == PolyX({0: 2, 3: 4})
