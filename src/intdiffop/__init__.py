@@ -38,7 +38,6 @@ from .i1 import (
 )
 from .laurent import B1Element, CalB1Element, left_divide, length, right_divide
 from .tensor import (
-    B1Mon,
     InElement,
     PolyXn,
     apply_n,

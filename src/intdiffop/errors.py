@@ -29,15 +29,19 @@ class LimitExceeded(IntDiffOpError):
     """Enumeration request beyond the configured size limit."""
 
 
-class OperatorSyntaxError(IntDiffOpError):
-    """Parse failure; carries the offset of the offending token."""
+class _AtPosition(IntDiffOpError):
+    """An error in input text; carries the offset of the offending token."""
 
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
 
-class IndexOutOfRange(IntDiffOpError):
+class OperatorSyntaxError(_AtPosition):
+    """Parse failure."""
+
+
+class IndexOutOfRange(_AtPosition):
     """Generator index outside 1..n."""
 
 

@@ -1,8 +1,10 @@
 """Canonical-form arithmetic for polynomial integro-differential operators
 in one variable.
 
-Basis monomials are H^j d^i (i >= 1), H^j, int^i H^j (i >= 1) and the matrix
-units e[s,t].  An element is a sparse rational combination of these and the
+Basis monomials are int tuples whose natural order is the printed order of
+Eq. (4): (0, k, j) is the word of degree k times H^j, that is H^j d^-k for
+k < 0, H^j for k = 0 and int^k H^j for k > 0, and (1, s, t) is the matrix
+unit e[s,t].  An element is a sparse rational combination of these and the
 representation *is* the canonical form: two elements are equal iff their term
 maps coincide.
 
@@ -13,9 +15,8 @@ by e[0,0]*int = 0 and d*e[0,0] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .errors import ZeroPolynomial
 from .laurent import B1Element
@@ -23,71 +24,43 @@ from .polyh import PolyH, nonneg_shifted_roots
 from .sparse import Sparse
 
 
-@dataclass(frozen=True, slots=True)
-class DiffMon:
+def DiffMon(j: int, i: int) -> tuple:
     """H^j d^i with i >= 1."""
-
-    j: int
-    i: int
+    return (0, -i, j)
 
 
-@dataclass(frozen=True, slots=True)
-class HMon:
+def HMon(j: int) -> tuple:
     """H^j."""
+    return (0, 0, j)
 
-    j: int
 
-
-@dataclass(frozen=True, slots=True)
-class IntMon:
+def IntMon(i: int, j: int) -> tuple:
     """int^i H^j with i >= 1."""
-
-    i: int
-    j: int
+    return (0, i, j)
 
 
-@dataclass(frozen=True, slots=True)
-class MatUnit:
+def MatUnit(s: int, t: int) -> tuple:
     """Matrix unit e[s,t]."""
-
-    s: int
-    t: int
+    return (1, s, t)
 
 
-I1Monomial = (DiffMon, HMon, IntMon, MatUnit)
 _UNIT = HMon(0)
 
 
 def mono_degree(m) -> int:
     """Degree in the Z-grading: deg d = -1, deg int = +1, deg e[s,t] = s - t."""
-    if isinstance(m, DiffMon):
-        return -m.i
-    if isinstance(m, HMon):
-        return 0
-    if isinstance(m, IntMon):
-        return m.i
-    return m.s - m.t
+    tag, u, v = m
+    return u - v if tag else u
 
 
 def mono_involution(m):
-    if isinstance(m, DiffMon):
-        return IntMon(m.i, m.j)
-    if isinstance(m, IntMon):
-        return DiffMon(m.j, m.i)
-    if isinstance(m, MatUnit):
-        return MatUnit(m.t, m.s)
-    return m
+    tag, u, v = m
+    return (1, v, u) if tag else (0, -u, v)
 
 
-def _word(m):
-    """Word form (a, p, b) meaning int^a * p(H) * d^b, or None for e-units."""
-    if isinstance(m, DiffMon):
-        return 0, PolyH.monomial(m.j), m.i
-    if isinstance(m, HMon):
-        return 0, PolyH.monomial(m.j), 0
-    if isinstance(m, IntMon):
-        return m.i, PolyH.monomial(m.j), 0
-    return None
+def _word(k: int, j: int):
+    """The word (0, k, j) as (a, p, b), meaning int^a * p(H) * d^b."""
+    return max(k, 0), PolyH.monomial(j), max(-k, 0)
 
 
 def _acc(out: dict, mon, c):
@@ -103,18 +76,7 @@ def _acc(out: dict, mon, c):
 def _emit_word(a: int, p: PolyH, b: int, out: dict):
     """Accumulate int^a p(H) d^b with a*b = 0 into a term dict."""
     for j, c in p.coeffs.items():
-        if a > 0:
-            mon = IntMon(a, j)
-        elif b > 0:
-            mon = DiffMon(j, b)
-        else:
-            mon = HMon(j)
-        _acc(out, mon, c)
-
-
-def _emit_unit(s: int, t: int, out: dict, c: Fraction):
-    if c:
-        _acc(out, MatUnit(s, t), c)
+        _acc(out, (0, a - b, j), c)
 
 
 def _midword(a: int, p: PolyH, b: int, out: dict):
@@ -130,42 +92,35 @@ def _midword(a: int, p: PolyH, b: int, out: dict):
         _emit_word(a, p, b, out)
         return
     # int^a p(H) d^b = p(H-a) int^a d^b
-    if a > b:
-        _emit_word(a - b, p.shift(-b), 0, out)
-    elif b > a:
-        _emit_word(0, p.shift(-a), b - a, out)
-    else:
-        _emit_word(0, p.shift(-a), 0, out)
+    _emit_word(a - m, p.shift(-m), b - m, out)
     for t in range(m):
-        _emit_unit(t + a - m, t + b - m, out, -p(t + 1 - m))
+        _acc(out, MatUnit(t + a - m, t + b - m), -p(t + 1 - m))
 
 
 def _mono_reduce(m1, m2, out: dict):
     """Accumulate m1 * m2 in canonical form into `out` (no memo)."""
-    w1, w2 = _word(m1), _word(m2)
-    if w1 is not None and w2 is not None:
-        a1, p1, b1 = w1
-        a2, p2, b2 = w2
+    (tag1, k1, j1), (tag2, k2, j2) = m1, m2
+    if not (tag1 or tag2):
+        a1, p1, b1 = _word(k1, j1)
+        a2, p2, b2 = _word(k2, j2)
         if b1 >= a2:
             d = b1 - a2
             _midword(a1, p1 * p2.shift(d), d + b2, out)
         else:
             u = a2 - b1
             _midword(a1 + u, p1.shift(u) * p2, b2, out)
-    elif w1 is not None:
-        # word * e[s,t]
-        a, p, b = w1
-        s, t = m2.s, m2.t
-        if s >= b:
-            _emit_unit(s - b + a, t, out, p(s - b + 1))
-    elif w2 is not None:
-        # e[s,t] * word
-        s, t = m1.s, m1.t
-        a, p, b = w2
-        if t >= a:
-            _emit_unit(s, t - a + b, out, p(t - a + 1))
-    elif m1.t == m2.s:
-        _emit_unit(m1.s, m2.t, out, Fraction(1))
+    elif not tag1:
+        # word * e[s,t] with (s, t) = (k2, j2)
+        a, p, b = _word(k1, j1)
+        if k2 >= b:
+            _acc(out, MatUnit(k2 - b + a, j2), p(k2 - b + 1))
+    elif not tag2:
+        # e[s,t] * word with (s, t) = (k1, j1)
+        a, p, b = _word(k2, j2)
+        if j1 >= a:
+            _acc(out, MatUnit(k1, j1 - a + b), p(j1 - a + 1))
+    elif j1 == k2:
+        _acc(out, MatUnit(k1, j2), Fraction(1))
 
 
 # Products of monomial pairs repeat heavily inside element products, so they
@@ -215,18 +170,6 @@ def mono_mul(m1, m2) -> "I1Element":
     return I1Element(out)
 
 
-def _mono_sort_key(m):
-    """Eq. (4) print/order key: d-part (high order first), H-part, int-part,
-    matrix part."""
-    if isinstance(m, DiffMon):
-        return (0, -m.i, m.j)
-    if isinstance(m, HMon):
-        return (1, m.j, 0)
-    if isinstance(m, IntMon):
-        return (2, m.i, m.j)
-    return (3, m.s, m.t)
-
-
 class I1Element(Sparse):
     """Sparse canonical-form element; immutable by convention."""
 
@@ -247,7 +190,7 @@ class I1Element(Sparse):
 
     @classmethod
     def from_scalar(cls, v) -> "I1Element":
-        return cls({HMon(0): Fraction(v)})
+        return cls({_UNIT: Fraction(v)})
 
     @classmethod
     def from_mono(cls, m, coeff=1) -> "I1Element":
@@ -287,10 +230,7 @@ class I1Element(Sparse):
         return sorted({mono_degree(m) for m in self.terms})
 
     def is_in_F(self) -> bool:
-        return all(isinstance(m, MatUnit) for m in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        return all(m[0] for m in self.terms)
 
     def __repr__(self):
         from .opparser import format_operator
@@ -350,24 +290,17 @@ class PolyX(PolyH):
 
 def _mono_apply(m, s: int):
     """Action of a basis monomial on x^s: (coefficient, new degree) or None."""
-    if isinstance(m, DiffMon):
-        if s < m.i:
-            return None
-        c = Fraction(1)
-        for k in range(m.i):
-            c *= s - k
-        ns = s - m.i
-        return c * Fraction(ns + 1) ** m.j, ns
-    if isinstance(m, HMon):
-        return Fraction(s + 1) ** m.j, s
-    if isinstance(m, IntMon):
-        c = Fraction(s + 1) ** m.j
-        for k in range(1, m.i + 1):
-            c /= s + k
-        return c, s + m.i
-    if s != m.t:
+    tag, k, j = m
+    if tag:
+        # e[k,j] maps x^j to (j!/k!) x^k
+        return (Fraction(factorial(j), factorial(k)), k) if s == j else None
+    ns = s + k
+    if ns < 0:
         return None
-    return Fraction(factorial(m.t), factorial(m.s)), m.s
+    # d^-k and int^k both map x^s to (s!/ns!) x^ns; H^j, which multiplies x^r
+    # by (r+1)^j, acts after d^-k and before int^k
+    c = Fraction(perm(s, -k)) if k <= 0 else Fraction(1, perm(ns, k))
+    return c * Fraction(min(s, ns) + 1) ** j, ns
 
 
 def apply(a: I1Element, p: PolyX) -> PolyX:
@@ -408,32 +341,24 @@ def faithful_bound(a: I1Element) -> int:
     on this many sample points forces equality by interpolation.
     """
     s_max = t_max = j_max = i_max = 0
-    for m in a.terms:
-        if isinstance(m, DiffMon):
-            j_max = max(j_max, m.j)
-            i_max = max(i_max, m.i)
-        elif isinstance(m, HMon):
-            j_max = max(j_max, m.j)
-        elif isinstance(m, IntMon):
-            j_max = max(j_max, m.j)
-            i_max = max(i_max, m.i)
+    for tag, u, v in a.terms:
+        if tag:
+            s_max, t_max = max(s_max, u), max(t_max, v)
         else:
-            s_max = max(s_max, m.s)
-            t_max = max(t_max, m.t)
+            i_max, j_max = max(i_max, abs(u)), max(j_max, v)
     return s_max + t_max + j_max + i_max + 1
 
 
 def quotient_terms(m) -> tuple:
     """The quotient map d -> D, int -> D^-1 on one basis monomial, as
     (D-power, H-degree, coefficient) triples; matrix units map to 0."""
-    if isinstance(m, MatUnit):
+    tag, k, j = m
+    if tag:
         return ()
-    if isinstance(m, DiffMon):
-        return ((m.i, m.j, 1),)
-    if isinstance(m, HMon):
-        return ((0, m.j, 1),)
-    # int^i H^j = D^-i H^j, commuted by the skew rule
-    return tuple((B1Element.monomial(-m.i, 0) * B1Element.monomial(0, m.j)).monomials())
+    if k <= 0:
+        return ((-k, j, 1),)
+    # int^k H^j = D^-k H^j, commuted by the skew rule
+    return tuple((B1Element.monomial(-k, 0) * B1Element.monomial(0, j)).monomials())
 
 
 def project_B1(a: I1Element):

@@ -123,10 +123,6 @@ class CalB1Element(_Skew):
             return RatFunc(v)
         return RatFunc.const(v)
 
-    @classmethod
-    def d_power(cls, d: int, coeff=1) -> "CalB1Element":
-        return cls({d: coeff})
-
 
 def length(b):
     """Top degree minus bottom degree of the support; None for zero."""

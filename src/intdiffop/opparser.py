@@ -18,15 +18,15 @@ which also bounds the recursion of the evaluator over the parsed tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NegativeExponent, OperatorSyntaxError
-from .i1 import DiffMon, HMon, IntMon, MatUnit
 from .polyh import join_terms, poly_terms, power_text, term_text
 from .tensor import (
     InElement,
     MODE_FULL,
+    MODE_QUOT,
     PolyXn,
     gen_e,
     gen_h,
@@ -41,11 +41,8 @@ MAX_DEPTH = 200
 
 # ---------------------------------------------------------------- tokens
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'num', 'gen', 'op', 'end'
-    value: object
-    pos: int
+# kind is 'num', 'genkind', 'op' or 'end'
+Token = namedtuple("Token", "kind value pos")
 
 
 def _tokenize(src: str):
@@ -104,40 +101,13 @@ def _tokenize(src: str):
 
 # ---------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Gen:
-    kind: str
-    index: int
-    pos: int
-    row: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    # list of (sign, node) with sign in {+1, -1}
-    parts: tuple
+Num = namedtuple("Num", "value")
+Gen = namedtuple("Gen", "kind index pos row col", defaults=(0, 0))
+Neg = namedtuple("Neg", "arg")
+Pow = namedtuple("Pow", "base exp")
+Mul = namedtuple("Mul", "factors")
+# parts: (sign, node) pairs with sign in {+1, -1}
+Sum = namedtuple("Sum", "parts")
 
 
 class _Parser:
@@ -273,7 +243,7 @@ def _evaluate(node, one, leaf):
 
 def _check_index(g: Gen, n: int):
     if not 1 <= g.index <= n:
-        raise IndexOutOfRange(f"index {g.index} outside 1..{n}")
+        raise IndexOutOfRange(f"index {g.index} outside 1..{n}", g.pos)
 
 
 _OPERATOR_GENS = {"x": gen_x, "d": gen_partial, "int": gen_integ, "H": gen_h}
@@ -314,25 +284,19 @@ def parse_poly(src: str, n: int = 1) -> PolyXn:
 def _format_i1(a: InElement) -> str:
     """Eq.-(4)-ordered grouped form for a single factor: H-polynomials to the
     left of each d-power and to the right of each int-power."""
-    dpolys, a0, ipolys, eterms = {}, {}, {}, {}
-    for (m,), v in a.terms.items():
-        if isinstance(m, DiffMon):
-            dpolys.setdefault(m.i, {})[m.j] = v
-        elif isinstance(m, HMon):
-            a0[m.j] = v
-        elif isinstance(m, IntMon):
-            ipolys.setdefault(m.i, {})[m.j] = v
+    polys, units = {}, []
+    for ((tag, k, j),), v in a.sorted_terms():
+        if tag:
+            units.append(term_text(v, [f"e1[{k},{j}]"]))
         else:
-            eterms[(m.s, m.t)] = v
+            polys.setdefault(k, {})[j] = v
     segs = []
-    for i in sorted(dpolys, reverse=True):
-        segs.append(_grouped_text(dpolys[i], power_text("d1", i), True))
-    segs.extend(poly_terms(a0, "H1"))
-    for i in sorted(ipolys):
-        segs.append(_grouped_text(ipolys[i], power_text("int1", i), False))
-    for (s, t) in sorted(eterms):
-        segs.append(term_text(eterms[(s, t)], [f"e1[{s},{t}]"]))
-    return join_terms(segs)
+    for k, p in polys.items():
+        if k == 0:
+            segs.extend(poly_terms(p, "H1"))
+        else:
+            segs.append(_grouped_text(p, power_text("d1" if k < 0 else "int1", abs(k)), k < 0))
+    return join_terms(segs + units)
 
 
 def _grouped_text(p: dict, op: list, left: bool) -> tuple:
@@ -346,18 +310,18 @@ def _grouped_text(p: dict, op: list, left: bool) -> tuple:
     return term_text(c, h + op if left else op + h)
 
 
-def _factor_mono_text(m, idx: int):
-    if isinstance(m, MatUnit):
-        return [f"e{idx}[{m.s},{m.t}]"]
-    h = power_text(f"H{idx}", m.j)
-    if isinstance(m, DiffMon):
-        return h + power_text(f"d{idx}", m.i)
-    if isinstance(m, IntMon):
-        return power_text(f"int{idx}", m.i) + h
-    if isinstance(m, HMon):
-        return h
-    # quotient-mode Laurent monomial H^j D^d
-    return h + power_text(f"D{idx}", m.d)
+def _factor_mono_text(m, mode: str, idx: int):
+    if mode == MODE_QUOT:
+        # the Laurent monomial H^j D^d
+        d, j = m
+        return power_text(f"H{idx}", j) + power_text(f"D{idx}", d)
+    tag, k, j = m
+    if tag:
+        return [f"e{idx}[{k},{j}]"]
+    h = power_text(f"H{idx}", j)
+    if k < 0:
+        return h + power_text(f"d{idx}", -k)
+    return power_text(f"int{idx}", k) + h
 
 
 def format_operator(a: InElement) -> str:
@@ -365,7 +329,10 @@ def format_operator(a: InElement) -> str:
     if a.n == 1 and a.modes == (MODE_FULL,):
         return _format_i1(a)
     return join_terms(
-        term_text(v, [f for k, m in enumerate(tup) for f in _factor_mono_text(m, k + 1)])
+        term_text(v, [
+            f for k, (m, mode) in enumerate(zip(tup, a.modes))
+            for f in _factor_mono_text(m, mode, k + 1)
+        ])
         for tup, v in a.sorted_terms()
     )
 

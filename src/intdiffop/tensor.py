@@ -2,15 +2,15 @@
 
 An element is a sparse rational combination of n-tuples of factor monomials.
 Each factor is either in full mode (basis monomials of the one-variable
-algebra) or in quotient mode (the monomials H^j D^d of the skew Laurent
-algebra `B1Element`, whose rule D^k p(H) = p(H+k) D^k they multiply by).
+algebra) or in quotient mode (the monomials H^j D^d, as pairs (d, j), of the
+skew Laurent algebra `B1Element`, whose rule D^k p(H) = p(H+k) D^k they
+multiply by).
 Quotients by sums of the height-one primes are realized by flipping factors
 into quotient mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyFactorList, ModeMismatch
@@ -20,6 +20,7 @@ from .i1 import (
     I1Element,
     IntMon,
     MatUnit,
+    _UNIT,
     _acc,
     _mono_apply,
     _mono_mul_into,
@@ -34,24 +35,16 @@ MODE_FULL = "I"
 MODE_QUOT = "B"
 
 
-@dataclass(frozen=True, slots=True)
-class B1Mon:
-    """H^j D^d in a quotient-mode factor; d is the Laurent power of D."""
-
-    d: int
-    j: int
-
-
 def _b1_monos(triples) -> dict:
-    """{B1Mon(d, j): c} from (d, j, c) triples with distinct (d, j)."""
-    return {B1Mon(d, j): c for d, j, c in triples}
+    """{(d, j): c} from (d, j, c) triples with distinct (d, j)."""
+    return {(d, j): c for d, j, c in triples}
 
 
-def _b1_mul_into(m1: B1Mon, m2: B1Mon, out: dict):
+def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
     """Accumulate m1 * m2 into `out`, multiplied as `B1Element`s."""
-    p = B1Element.monomial(m1.d, m1.j) * B1Element.monomial(m2.d, m2.j)
+    p = B1Element.monomial(*m1) * B1Element.monomial(*m2)
     for d, j, c in p.monomials():
-        _acc(out, B1Mon(d, j), c)
+        _acc(out, (d, j), c)
 
 
 def _expand_into(out: dict, factor_maps, c):
@@ -72,7 +65,7 @@ def _expand_into(out: dict, factor_maps, c):
 
 def _unit(modes) -> tuple:
     """The basis tuple of the identity element."""
-    return tuple(B1Mon(0, 0) if m == MODE_QUOT else HMon(0) for m in modes)
+    return tuple((0, 0) if m == MODE_QUOT else _UNIT for m in modes)
 
 
 def _factor_mul(m1, m2, mode) -> dict:
@@ -88,7 +81,8 @@ def _factor_mul(m1, m2, mode) -> dict:
 def _factor_involution(m, mode) -> dict:
     if mode == MODE_QUOT:
         # (H^j D^d)* = D^-d H^j
-        b = B1Element.monomial(-m.d, 0) * B1Element.monomial(0, m.j)
+        d, j = m
+        b = B1Element.monomial(-d, 0) * B1Element.monomial(0, j)
         return _b1_monos(b.monomials())
     return {mono_involution(m): 1}
 
@@ -100,7 +94,7 @@ def _factor_projection(m, flip: bool) -> dict:
 def _factor_degree(m, mode) -> int:
     if mode == MODE_QUOT:
         # D has grading degree -1 (the integration D^-1 has degree +1)
-        return -m.d
+        return -m[0]
     return mono_degree(m)
 
 
@@ -191,15 +185,9 @@ class InElement(Sparse):
         return InElement(self.n, out, self.modes)
 
     def sorted_terms(self):
-        from .i1 import _mono_sort_key
-
-        def key(tup):
-            return tuple(
-                _mono_sort_key(m) if not isinstance(m, B1Mon) else (4, m.d, m.j)
-                for m in tup
-            )
-
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+        """The terms in printed order; keys are distinct, so no coefficients
+        are compared."""
+        return sorted(self.terms.items())
 
     def __repr__(self):
         from .opparser import format_operator
@@ -250,7 +238,7 @@ def gen_e(n: int, i: int, s: int, t: int) -> InElement:
 def _gen(n: int, i: int, mon) -> InElement:
     if not 1 <= i <= n:
         raise DimensionMismatch(f"factor index {i} outside 1..{n}")
-    tup = tuple(mon if k == i - 1 else HMon(0) for k in range(n))
+    tup = tuple(mon if k == i - 1 else _UNIT for k in range(n))
     return InElement(n, {tup: Fraction(1)})
 
 
@@ -378,7 +366,7 @@ def ideal_membership(a: InElement, antichain) -> bool:
         ok = False
         for mask in antichain.masks:
             if all(
-                (mask >> k) & 1 or isinstance(tup[k], MatUnit) for k in range(a.n)
+                (mask >> k) & 1 or tup[k][0] for k in range(a.n)
             ):
                 ok = True
                 break

@@ -120,11 +120,9 @@ def rand_calb1_nonzero(rng, degspan=3, cdeg=2) -> CalB1Element:
 def max_raise(a: I1Element) -> int:
     """Largest degree increase the action of a can cause on a monomial."""
     r = 0
-    for m in a.terms:
-        if isinstance(m, IntMon):
-            r = max(r, m.i)
-        elif isinstance(m, MatUnit):
-            r = max(r, m.s - m.t)
+    for tag, u, v in a.terms:
+        # the word (0, k, j) raises the degree by k, e[s,t] = (1, s, t) by s - t
+        r = max(r, u - v if tag else u)
     return r
 
 

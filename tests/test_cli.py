@@ -1,5 +1,6 @@
 """Command-line interface: golden files, machine mode, exit-code contract."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from intdiffop import parse_operator
 from intdiffop.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_CASES = [
     ("01_normalize.txt", ["normalize", "int1*d1"]),
@@ -64,6 +66,26 @@ def test_golden(fname, args):
 def test_exit_codes(args, expected):
     code, _ = invoke(args)
     assert code == expected
+
+
+def test_index_out_of_range_reports_its_position(capsys):
+    assert run(["normalize", "-n", "2", "d1 + x3"]) == 1
+    assert capsys.readouterr().err == "error: index 3 outside 1..2 (at position 5)\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, intdiffop.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestMachineMode:

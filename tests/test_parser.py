@@ -18,6 +18,9 @@ from intdiffop import (
     generators,
     parse_operator,
     parse_poly,
+    project_modulo_prime,
+    tensor,
+    to_i1,
 )
 from intdiffop.errors import (
     IndexOutOfRange,
@@ -119,6 +122,21 @@ class TestFormat:
 
     def test_zero(self):
         assert format_operator(InElement.zero(1)) == "0"
+
+    def test_mixed_kinds_print_in_key_order(self):
+        # a is the first factor and c = d2 - 2*e2[1,0] the second
+        a = to_i1(parse_operator("d1^2 + H1*d1 + H1 + int1 + int1*H1^2 + e1[0,1]", 1))
+        c = to_i1(parse_operator("d1 - 2*e1[1,0]", 1))
+        assert format_operator(tensor([a, c])) == (
+            "d1^2*d2 - 2*d1^2*e2[1,0] + H1*d1*d2 - 2*H1*d1*e2[1,0] + H1*d2"
+            " - 2*H1*e2[1,0] + int1*d2 - 2*int1*e2[1,0] + int1*H1^2*d2"
+            " - 2*int1*H1^2*e2[1,0] + e1[0,1]*d2 - 2*e1[0,1]*e2[1,0]"
+        )
+        assert format_operator(project_modulo_prime(tensor([a, c]), [1])) == (
+            "2*D1^-1*d2 - 4*D1^-1*e2[1,0] - 2*H1*D1^-1*d2 + 4*H1*D1^-1*e2[1,0]"
+            " + H1^2*D1^-1*d2 - 2*H1^2*D1^-1*e2[1,0] + H1*d2 - 2*H1*e2[1,0]"
+            " + H1*D1*d2 - 2*H1*D1*e2[1,0] + D1^2*d2 - 2*D1^2*e2[1,0]"
+        )
 
     def test_poly_format(self):
         assert format_poly(PolyXn(2, {(2, 1): 3, (0, 0): Fraction(-1, 2)})) == (
