@@ -21,7 +21,7 @@ from math import factorial, perm
 from .errors import ZeroPolynomial
 from .laurent import B1Element
 from .polyh import PolyH, nonneg_shifted_roots
-from .sparse import Sparse
+from .sparse import Sparse, _acc
 
 
 def DiffMon(j: int, i: int) -> tuple:
@@ -63,19 +63,9 @@ def _word(k: int, j: int):
     return max(k, 0), PolyH.monomial(j), max(-k, 0)
 
 
-def _acc(out: dict, mon, c):
-    """out[mon] += c, keeping no zero coefficients."""
-    v = out.get(mon)
-    v = c if v is None else v + c
-    if v:
-        out[mon] = v
-    else:
-        out.pop(mon, None)
-
-
 def _emit_word(a: int, p: PolyH, b: int, out: dict):
     """Accumulate int^a p(H) d^b with a*b = 0 into a term dict."""
-    for j, c in p.coeffs.items():
+    for j, c in p.terms.items():
         _acc(out, (0, a - b, j), c)
 
 
@@ -175,29 +165,17 @@ class I1Element(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, v in terms.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    t[m] = v
-        self.terms = t
-
     @classmethod
     def zero(cls) -> "I1Element":
         return cls()
 
     @classmethod
     def from_scalar(cls, v) -> "I1Element":
-        return cls({_UNIT: Fraction(v)})
+        return cls({_UNIT: v})
 
     @classmethod
     def from_mono(cls, m, coeff=1) -> "I1Element":
-        return cls({m: Fraction(coeff)})
-
-    def _scalar(self, v) -> "I1Element":
-        return I1Element.from_scalar(v)
+        return cls({m: coeff})
 
     def _unit_key(self):
         return _UNIT
@@ -212,11 +190,6 @@ class I1Element(Sparse):
             for m2, v2 in other.terms.items():
                 _mono_mul_into(m1, m2, out, v1 * v2)
         return self._new(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     __pow__ = Sparse.__pow__
 
@@ -276,7 +249,7 @@ def ker_right_mult_poly(alpha: PolyH):
 
 def from_polyh(p: PolyH) -> I1Element:
     """The element p(H)."""
-    return I1Element({HMon(j): c for j, c in p.coeffs.items()})
+    return I1Element({HMon(j): c for j, c in p.terms.items()})
 
 
 class PolyX(PolyH):
@@ -288,35 +261,29 @@ class PolyX(PolyH):
         return PolyH.to_text(self, var)
 
 
-def _mono_apply(m, s: int):
-    """Action of a basis monomial on x^s: (coefficient, new degree) or None."""
+def _mono_apply(m, s: int) -> dict:
+    """Action of a basis monomial on x^s as {new degree: coefficient}; empty
+    when the monomial kills x^s."""
     tag, k, j = m
     if tag:
         # e[k,j] maps x^j to (j!/k!) x^k
-        return (Fraction(factorial(j), factorial(k)), k) if s == j else None
+        return {k: Fraction(factorial(j), factorial(k))} if s == j else {}
     ns = s + k
     if ns < 0:
-        return None
+        return {}
     # d^-k and int^k both map x^s to (s!/ns!) x^ns; H^j, which multiplies x^r
     # by (r+1)^j, acts after d^-k and before int^k
     c = Fraction(perm(s, -k)) if k <= 0 else Fraction(1, perm(ns, k))
-    return c * Fraction(min(s, ns) + 1) ** j, ns
+    return {ns: c * Fraction(min(s, ns) + 1) ** j}
 
 
 def apply(a: I1Element, p: PolyX) -> PolyX:
     """Action of a on K[x]: d differentiates, int integrates, H = d x."""
     out = {}
     for m, v in a.terms.items():
-        for s, c in p.coeffs.items():
-            hit = _mono_apply(m, s)
-            if hit is None:
-                continue
-            coeff, ns = hit
-            coeff = coeff * v * c
-            if coeff:
-                out[ns] = out.get(ns, Fraction(0)) + coeff
-                if not out[ns]:
-                    del out[ns]
+        for s, c in p.terms.items():
+            for ns, fc in _mono_apply(m, s).items():
+                _acc(out, ns, fc * v * c)
     return PolyX(out)
 
 
@@ -328,7 +295,7 @@ def matrix_of(a: I1Element, n: int):
     mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for s in range(n + 1):
         img = apply(a, PolyX.monomial(s))
-        for d, v in img.coeffs.items():
+        for d, v in img.terms.items():
             if d <= n:
                 mat[d][s] = v
     return mat

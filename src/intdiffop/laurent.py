@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero
 from .polyh import PolyH, RatFunc, join_terms, power_text
-from .sparse import Sparse
+from .sparse import Sparse, _acc
 
 
 class _Skew(Sparse):
@@ -21,24 +21,8 @@ class _Skew(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                v = self._coerce(v)
-                if v:
-                    c[int(d)] = v
-        self.terms = c
-
-    def _scalar(self, v) -> "_Skew":
-        return type(self)({0: v})
-
     def _unit_key(self):
         return 0
-
-    @property
-    def coeffs(self) -> dict:
-        return self.terms
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -48,21 +32,8 @@ class _Skew(Sparse):
         out = {}
         for d, a in self.terms.items():
             for e, b in other.terms.items():
-                v = a * b.shift(d)
-                if v:
-                    k = d + e
-                    w = out.get(k)
-                    w = v if w is None else w + v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
+                _acc(out, d + e, a * b.shift(d))
         return self._new(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scalar(other) * self
-        return NotImplemented
 
     def top_degree(self):
         return max(self.terms) if self.terms else None

@@ -14,10 +14,6 @@ from .errors import DivisionByZero, ZeroPolynomial
 from .sparse import Sparse
 
 
-def _as_rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 # ---------------------------------------------------------------- text rules
 # Every printer of the engine builds its text from these helpers.
 
@@ -65,34 +61,16 @@ class PolyH(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for d, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                v = _as_rat(v)
-                if v:
-                    c[int(d)] = c.get(int(d), Fraction(0)) + v
-                    if not c[int(d)]:
-                        del c[int(d)]
-        self.terms = c
-
     @classmethod
     def const(cls, v) -> "PolyH":
-        return cls({0: _as_rat(v)})
+        return cls({0: v})
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "PolyH":
-        return cls({degree: _as_rat(coeff)})
-
-    def _scalar(self, v) -> "PolyH":
-        return type(self).const(v)
+        return cls({degree: coeff})
 
     def _unit_key(self):
         return 0
-
-    @property
-    def coeffs(self):
-        return dict(self.terms)
 
     def coeff(self, d: int) -> Fraction:
         return self.terms.get(d, Fraction(0))
@@ -135,7 +113,6 @@ class PolyH(Sparse):
 
     def __call__(self, v) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        v = _as_rat(v)
         if not self.terms:
             return Fraction(0)
         top = max(self.terms)
@@ -192,7 +169,7 @@ def nonneg_shifted_roots(p: PolyH):
     if p.is_zero():
         raise ZeroPolynomial("kernel of right multiplication by 0 is everything")
     # Strip the power of H; H^v contributes only the root 0, never a root >= 1.
-    c = p.coeffs
+    c = p.terms
     low = min(c)
     shifted = {d - low: v for d, v in c.items()}
     # Clear denominators: positive integer roots divide the constant term.
@@ -329,9 +306,9 @@ class RatFunc:
             return self.num.to_text(var)
         n = self.num.to_text(var)
         d = self.den.to_text(var)
-        if len(self.num.coeffs) > 1:
+        if len(self.num.terms) > 1:
             n = f"({n})"
-        if len(self.den.coeffs) > 1:
+        if len(self.den.terms) > 1:
             d = f"({d})"
         return f"{n}/{d}"
 

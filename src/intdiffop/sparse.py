@@ -2,12 +2,15 @@
 
 Polynomials in H and in x, elements of the one- and n-variable algebras and
 skew Laurent polynomials are all finite sums: a map from basis keys to
-nonzero coefficients.  `Sparse` holds that map in `terms` and owns the only
-copies of the linear operations, equality, hashing and powers.  Each
-subclass keeps its own constructor and, where it has one, its product rule,
-and supplies the element c*1 (`_scalar`) and the key of 1 (`_unit_key`);
-a subclass whose elements carry context, such as a factor count, also
-supplies `_new`, `_check` and `_context`.
+nonzero coefficients.  `Sparse` holds that map in `terms` and is the only
+owner of its invariant: every coefficient passes the one `_coerce` hook
+(`Fraction` by default), no zero coefficient is stored, and equal keys add
+up.  It holds the only constructor loop, scalar embedding, `coeffs` copy and
+scalar `__rmul__`, and the only linear operations, equality, hashing and
+powers.  A subclass supplies the key of 1 (`_unit_key`), optionally its own
+`_coerce`, and, where it has one, its product rule; a subclass whose elements
+carry context, such as a factor count, also supplies `_new`, `_check` and
+`_context`, and sets that context before calling `Sparse.__init__`.
 """
 
 from __future__ import annotations
@@ -15,14 +18,40 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _rat(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _acc(out: dict, key, c):
+    """out[key] += c, keeping no zero coefficients."""
+    v = out.get(key)
+    v = c if v is None else v + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 class Sparse:
     """Key -> nonzero coefficient map; immutable by convention."""
 
     __slots__ = ("terms",)
 
+    _coerce = staticmethod(_rat)
+
+    def __init__(self, terms=None):
+        """From a map or from (key, coefficient) pairs."""
+        out = {}
+        if terms:
+            coerce = self._coerce
+            for k, v in terms.items() if isinstance(terms, dict) else terms:
+                _acc(out, k, coerce(v))
+        self.terms = out
+
     def _scalar(self, v) -> "Sparse":
         """The element v*1 in the context of self."""
-        raise NotImplementedError
+        v = self._coerce(v)
+        return self._new({self._unit_key(): v} if v else {})
 
     def _unit_key(self):
         """The key of the basis element 1."""
@@ -49,6 +78,11 @@ class Sparse:
             return None
         self._check(other)
         return other
+
+    @property
+    def coeffs(self) -> dict:
+        """A copy of the term map."""
+        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,8 +146,14 @@ class Sparse:
         """c * self for a rational c."""
         if not c:
             return self._new({})
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _rat(c)
         return self._new({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        # rationals are central, so c * self = self * c
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
 
     def __pow__(self, k: int):
         # binary powering that stops squaring after the last bit: **k makes

@@ -21,7 +21,6 @@ from .i1 import (
     IntMon,
     MatUnit,
     _UNIT,
-    _acc,
     _mono_apply,
     _mono_mul_into,
     mono_degree,
@@ -29,7 +28,7 @@ from .i1 import (
     quotient_terms,
 )
 from .laurent import B1Element
-from .sparse import Sparse
+from .sparse import Sparse, _acc
 
 MODE_FULL = "I"
 MODE_QUOT = "B"
@@ -110,13 +109,7 @@ class InElement(Sparse):
         self.modes = tuple(modes) if modes is not None else (MODE_FULL,) * n
         if len(self.modes) != n:
             raise DimensionMismatch("mode vector length != n")
-        t = {}
-        if terms:
-            for tup, v in terms.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    t[tuple(tup)] = v
-        self.terms = t
+        super().__init__(terms)
 
     @classmethod
     def zero(cls, n: int, modes=None) -> "InElement":
@@ -125,14 +118,11 @@ class InElement(Sparse):
     @classmethod
     def one(cls, n: int, modes=None) -> "InElement":
         modes = tuple(modes) if modes is not None else (MODE_FULL,) * n
-        return cls(n, {_unit(modes): Fraction(1)}, modes)
+        return cls(n, {_unit(modes): 1}, modes)
 
     @classmethod
     def from_scalar(cls, n: int, v, modes=None) -> "InElement":
         return cls.one(n, modes).scale(v)
-
-    def _scalar(self, v) -> "InElement":
-        return InElement.from_scalar(self.n, v, self.modes)
 
     def _unit_key(self):
         return _unit(self.modes)
@@ -163,11 +153,6 @@ class InElement(Sparse):
                 _expand_into(out, map(_factor_mul, t1, t2, modes), v1 * v2)
         return self._new(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     __pow__ = Sparse.__pow__
 
     def involution(self) -> "InElement":
@@ -182,7 +167,7 @@ class InElement(Sparse):
             for tup, v in self.terms.items()
             if sum(_factor_degree(m, mo) for m, mo in zip(tup, self.modes)) == d
         }
-        return InElement(self.n, out, self.modes)
+        return self._new(out)
 
     def sorted_terms(self):
         """The terms in printed order; keys are distinct, so no coefficients
@@ -249,24 +234,15 @@ class PolyXn(Sparse):
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        c = {}
-        if coeffs:
-            for deg, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    c[tuple(deg)] = v
-        self.terms = c
+        super().__init__(coeffs)
 
     @classmethod
     def one(cls, n: int) -> "PolyXn":
-        return cls(n, {(0,) * n: Fraction(1)})
+        return cls(n, {(0,) * n: 1})
 
     @classmethod
     def monomial(cls, n: int, deg, coeff=1) -> "PolyXn":
-        return cls(n, {tuple(deg): Fraction(coeff)})
-
-    def _scalar(self, v) -> "PolyXn":
-        return PolyXn(self.n, {(0,) * self.n: v})
+        return cls(n, {tuple(deg): coeff})
 
     def _unit_key(self):
         return (0,) * self.n
@@ -283,10 +259,6 @@ class PolyXn(Sparse):
     def _context(self) -> tuple:
         return (self.n,)
 
-    @property
-    def coeffs(self):
-        return dict(self.terms)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -296,10 +268,7 @@ class PolyXn(Sparse):
         out = {}
         for d1, v1 in self.terms.items():
             for d2, v2 in other.terms.items():
-                d = tuple(a + b for a, b in zip(d1, d2))
-                out[d] = out.get(d, Fraction(0)) + v1 * v2
-                if not out[d]:
-                    del out[d]
+                _acc(out, tuple(a + b for a, b in zip(d1, d2)), v1 * v2)
         return self._new(out)
 
     def __repr__(self):
@@ -314,25 +283,9 @@ def apply_n(a: InElement, p: PolyXn) -> PolyXn:
         raise DimensionMismatch(f"{a.n} factors vs {p.n} variables")
     out = {}
     for tup, v in a.terms.items():
-        for deg, c in p.coeffs.items():
-            coeff = v * c
-            ndeg = []
-            for m, s in zip(tup, deg):
-                hit = _mono_apply(m, s)
-                if hit is None:
-                    coeff = Fraction(0)
-                    break
-                fc, ns = hit
-                coeff *= fc
-                if not coeff:
-                    break
-                ndeg.append(ns)
-            if coeff:
-                d = tuple(ndeg)
-                out[d] = out.get(d, Fraction(0)) + coeff
-                if not out[d]:
-                    del out[d]
-    return PolyXn(a.n, out)
+        for deg, c in p.terms.items():
+            _expand_into(out, map(_mono_apply, tup, deg), v * c)
+    return p._new(out)
 
 
 def project_modulo_prime(a: InElement, index_set) -> InElement:

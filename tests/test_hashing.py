@@ -29,6 +29,13 @@ def test_scalar_hashes_as_its_value(name, v):
     assert len({x, v}) == 1
 
 
+@pytest.mark.parametrize("c", [0, 1, Fraction(2, 3)], ids=str)
+@pytest.mark.parametrize("name", SCALARS)
+def test_scalar_products_commute(name, c):
+    x = SCALARS[name](Fraction(-3, 5))
+    assert c * x == x * c == c * Fraction(-3, 5)
+
+
 def test_ratfunc_over_one_hashes_as_its_numerator():
     p = PolyH({0: 1, 2: Fraction(-1, 3)})
     assert RatFunc(p) == p
