@@ -36,13 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="intdiffop", description="Exact integro-differential operator calculator")
     p.add_argument("--machine", action="store_true", help="machine-readable output lines")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_n(sp):
-        sp.add_argument("-n", type=int, default=1, help="number of tensor factors")
+    def with_n(sp, default=1):
+        sp.add_argument("-n", type=_count, default=default, help="number of tensor factors")
 
     sp = sub.add_parser("normalize", help="print the canonical form")
     with_n(sp)
@@ -68,12 +79,18 @@ def _build_parser() -> _Parser:
     sp.add_argument("--primes", required=True, help="comma-separated factor indices")
 
     sp = sub.add_parser("ideal", help="antichain-encoded ideal operations")
-    sp.add_argument("op", choices=["sum", "prod", "includes", "member", "minprimes", "isprime"])
     with_n(sp)
-    sp.add_argument("args", nargs="*")
+    ops = sp.add_subparsers(dest="op", required=True)
+    for name, operands in (("sum", "c1 c2"), ("prod", "c1 c2"), ("includes", "c1 c2"),
+                           ("member", "expr c"), ("minprimes", "c"), ("isprime", "c")):
+        op = ops.add_parser(name)
+        # SUPPRESS: an -n given before the operation is not reset here
+        with_n(op, argparse.SUPPRESS)
+        for operand in operands.split():
+            op.add_argument(operand)
 
     sp = sub.add_parser("dedekind", help="count the ideals over n factors")
-    sp.add_argument("N", type=int)
+    sp.add_argument("N", type=_count)
 
     sp = sub.add_parser("divide", help="Euclidean division in the Laurent quotient")
     g = sp.add_mutually_exclusive_group(required=True)
@@ -89,12 +106,7 @@ def _build_parser() -> _Parser:
 
 
 def _parse_index_list(text: str):
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(int(chunk))
-    return out
+    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def _bool_text(v: bool) -> str:
@@ -126,31 +138,11 @@ def _relation_suite(n: int):
     return rows
 
 
-def _reorder_ideal_args(argv):
-    """Move -n behind the variadic ideal positionals (argparse limitation).
-
-    argparse matches a trailing nargs="*" positional within the first
-    positional chunk, so an interleaved -n strands the arguments after it.
-    """
-    if "ideal" not in argv[:2]:
-        return argv
-    out, rest = [], []
-    k = 0
-    while k < len(argv):
-        if argv[k] == "-n" and k + 1 < len(argv):
-            out.extend(argv[k : k + 2])
-            k += 2
-        else:
-            rest.append(argv[k])
-            k += 1
-    return rest + out
-
-
 def run(argv) -> int:
     """Execute one command; returns the exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(_reorder_ideal_args(list(argv)))
+        ns = parser.parse_args(argv)
     except _ArgError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -159,7 +151,7 @@ def run(argv) -> int:
     except OperatorSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_ArgError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except IntDiffOpError as exc:
@@ -219,36 +211,22 @@ def _dispatch(ns) -> int:
 
 
 def _ideal_command(ns) -> int:
-    n = ns.n
-    args = ns.args
-    if ns.op in ("sum", "prod", "includes"):
-        if len(args) != 2:
-            raise _ArgError(f"ideal {ns.op} needs two antichain arguments")
-        c1 = IdealAntichain.from_text(args[0], n)
-        c2 = IdealAntichain.from_text(args[1], n)
-        if ns.op == "sum":
-            print(lattice.ideal_sum(c1, c2).to_text())
-        elif ns.op == "prod":
-            print(lattice.ideal_product(c1, c2).to_text())
-        else:
-            print(_bool_text(lattice.ideal_includes(c1, c2)))
+    def ideal(text):
+        return IdealAntichain.from_text(text, ns.n)
+
+    if ns.op == "sum":
+        print(lattice.ideal_sum(ideal(ns.c1), ideal(ns.c2)).to_text())
+    elif ns.op == "prod":
+        print(lattice.ideal_product(ideal(ns.c1), ideal(ns.c2)).to_text())
+    elif ns.op == "includes":
+        print(_bool_text(lattice.ideal_includes(ideal(ns.c1), ideal(ns.c2))))
     elif ns.op == "member":
-        if len(args) != 2:
-            raise _ArgError("ideal member needs an expression and an antichain")
-        a = parse_operator(args[0], n)
-        c = IdealAntichain.from_text(args[1], n)
-        print(_bool_text(ideal_membership(a, c)))
+        print(_bool_text(ideal_membership(parse_operator(ns.expr, ns.n), ideal(ns.c))))
     elif ns.op == "minprimes":
-        if len(args) != 1:
-            raise _ArgError("ideal minprimes needs one antichain argument")
-        c = IdealAntichain.from_text(args[0], n)
-        for s in sorted(lattice.minimal_primes_over(c), key=lambda s: sorted(s)):
+        for s in sorted(lattice.minimal_primes_over(ideal(ns.c)), key=lambda s: sorted(s)):
             print(_subset_text(s))
-    elif ns.op == "isprime":
-        if len(args) != 1:
-            raise _ArgError("ideal isprime needs one antichain argument")
-        c = IdealAntichain.from_text(args[0], n)
-        print(_bool_text(lattice.is_prime(c)))
+    else:
+        print(_bool_text(lattice.is_prime(ideal(ns.c))))
     return 0
 
 

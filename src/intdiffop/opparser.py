@@ -9,7 +9,8 @@ Grammar (EBNF):
     generator := ('x'|'d'|'int'|'H') index | 'e' index '[' nat ',' nat ']'
 
 The factor index is mandatory and must lie in 1..n.  Rational literals are
-`p` or `p/q` (the slash is lexer-level, never a division operator).  `^`
+`p` or `p/q` in decimal digits (the slash is lexer-level, never a division
+operator).  Any other character is a parse error at its position.  `^`
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
@@ -18,6 +19,7 @@ which also bounds the recursion of the evaluator over the parsed tree.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -45,57 +47,36 @@ MAX_DEPTH = 200
 Token = namedtuple("Token", "kind value pos")
 
 
+# One alternative per token kind; finditer skips only whitespace, since
+# every other character matches `bad` at worst.  \d is exactly the decimal
+# digits that int() accepts.
+_TOKEN = re.compile(
+    r"(?P<num>\d+(?:/\d*)?)|(?P<op>[-+*^()\[\],])|(?P<word>[^\W\d_]+|[∂∫])|(?P<bad>\S)"
+)
+_ALIASES = {"∂": "d", "∫": "int"}
+
+
 def _tokenize(src: str):
     out = []
-    i = 0
-    ln = len(src)
-    while i < ln:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()[],":
-            out.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < ln and src[i].isdigit():
-                i += 1
-            num = int(src[start:i])
-            if i < ln and src[i] == "/":
-                j = i + 1
-                if j >= ln or not src[j].isdigit():
-                    raise OperatorSyntaxError("expected digits after '/'", i)
-                i = j
-                while i < ln and src[i].isdigit():
-                    i += 1
-                den = int(src[j:i])
-                if den == 0:
-                    raise OperatorSyntaxError("zero denominator in literal", start)
-                out.append(Token("num", Fraction(num, den), start))
-            else:
-                out.append(Token("num", Fraction(num), start))
-            continue
-        if ch == "∂":  # ∂
-            out.append(Token("genkind", "d", i))
-            i += 1
-            continue
-        if ch == "∫":  # ∫
-            out.append(Token("genkind", "int", i))
-            i += 1
-            continue
-        if ch.isalpha():
-            start = i
-            while i < ln and src[i].isalpha():
-                i += 1
-            name = src[start:i]
+    for m in _TOKEN.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "num":
+            num, slash, den = text.partition("/")
+            if slash and not den:
+                raise OperatorSyntaxError("expected digits after '/'", pos + len(num))
+            if den and not int(den):
+                raise OperatorSyntaxError("zero denominator in literal", pos)
+            out.append(Token("num", Fraction(int(num), int(den or 1)), pos))
+        elif kind == "op":
+            out.append(Token("op", text, pos))
+        elif kind == "word":
+            name = _ALIASES.get(text, text)
             if name not in _GEN_KINDS:
-                raise OperatorSyntaxError(f"unknown symbol {name!r}", start)
-            out.append(Token("genkind", name, start))
-            continue
-        raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(Token("end", None, ln))
+                raise OperatorSyntaxError(f"unknown symbol {name!r}", pos)
+            out.append(Token("genkind", name, pos))
+        else:
+            raise OperatorSyntaxError(f"unexpected character {text!r}", pos)
+    out.append(Token("end", None, len(src)))
     return out
 
 
@@ -130,11 +111,22 @@ class _Parser:
         self.k += 1
         return t
 
-    def expect_op(self, ch: str) -> Token:
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the operator characters ops."""
+        t = self.peek()
+        return t.kind == "op" and t.value in ops
+
+    def expect_op(self, ch: str):
+        if not self.at(ch):
+            raise OperatorSyntaxError(f"expected {ch!r}", self.peek().pos)
+        self.next()
+
+    def natural(self, message: str) -> int:
+        """The next token as a natural number; message names what it is."""
         t = self.next()
-        if t.kind != "op" or t.value != ch:
-            raise OperatorSyntaxError(f"expected {ch!r}", t.pos)
-        return t
+        if t.kind != "num" or t.value.denominator != 1:
+            raise OperatorSyntaxError(message, t.pos)
+        return int(t.value)
 
     def parse(self):
         node = self.expr()
@@ -145,43 +137,31 @@ class _Parser:
 
     def expr(self):
         parts = [(1, self.term())]
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.value in "+-":
-                self.next()
-                parts.append((1 if t.value == "+" else -1, self.term()))
-            else:
-                return Sum(tuple(parts))
+        while self.at("+-"):
+            sign = 1 if self.next().value == "+" else -1
+            parts.append((sign, self.term()))
+        return Sum(tuple(parts))
 
     def term(self):
         factors = [self.factor()]
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.value == "*":
-                self.next()
-                factors.append(self.factor())
-            else:
-                return Mul(tuple(factors))
+        while self.at("*"):
+            self.next()
+            factors.append(self.factor())
+        return Mul(tuple(factors))
 
     def factor(self):
-        t = self.peek()
-        if t.kind == "op" and t.value == "-":
-            self.next()
-            self.descend(t)
+        if self.at("-"):
+            self.descend(self.next())
             node = Neg(self.factor())
             self.depth -= 1
             return node
         base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.value == "^":
-            self.next()
-            e = self.next()
-            if e.kind == "op" and e.value == "-":
-                raise NegativeExponent("operator powers must be nonnegative")
-            if e.kind != "num" or e.value.denominator != 1:
-                raise OperatorSyntaxError("expected a natural number exponent", e.pos)
-            return Pow(base, int(e.value))
-        return base
+        if not self.at("^"):
+            return base
+        self.next()
+        if self.at("-"):
+            raise NegativeExponent("operator powers must be nonnegative")
+        return Pow(base, self.natural("expected a natural number exponent"))
 
     def atom(self):
         t = self.next()
@@ -198,22 +178,15 @@ class _Parser:
         raise OperatorSyntaxError("expected a literal, generator or '('", t.pos)
 
     def generator(self, t: Token):
-        idx_tok = self.next()
-        if idx_tok.kind != "num" or idx_tok.value.denominator != 1:
-            raise OperatorSyntaxError("generator needs a factor index", idx_tok.pos)
-        idx = int(idx_tok.value)
-        if t.value == "e":
-            self.expect_op("[")
-            r = self.next()
-            if r.kind != "num" or r.value.denominator != 1:
-                raise OperatorSyntaxError("expected a natural row index", r.pos)
-            self.expect_op(",")
-            c = self.next()
-            if c.kind != "num" or c.value.denominator != 1:
-                raise OperatorSyntaxError("expected a natural column index", c.pos)
-            self.expect_op("]")
-            return Gen("e", idx, t.pos, int(r.value), int(c.value))
-        return Gen(t.value, idx, t.pos)
+        idx = self.natural("generator needs a factor index")
+        if t.value != "e":
+            return Gen(t.value, idx, t.pos)
+        self.expect_op("[")
+        r = self.natural("expected a natural row index")
+        self.expect_op(",")
+        c = self.natural("expected a natural column index")
+        self.expect_op("]")
+        return Gen("e", idx, t.pos, r, c)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -201,9 +201,10 @@ class RatFunc:
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = PolyH.const(num)
-        if den is None:
-            den = ONE
-        elif isinstance(den, (int, Fraction)):
+        if den is None:  # num/1 is already reduced, with a monic denominator
+            self.num, self.den = num, ONE
+            return
+        if isinstance(den, (int, Fraction)):
             den = PolyH.const(den)
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")

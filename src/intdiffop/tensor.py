@@ -177,9 +177,8 @@ class InElement(Sparse):
     def __repr__(self):
         from .opparser import format_operator
 
-        if all(m == MODE_FULL for m in self.modes):
-            return f"InElement({format_operator(self)})"
-        return f"InElement(n={self.n}, modes={self.modes}, {len(self.terms)} terms)"
+        modes = f"modes={self.modes}, " if MODE_QUOT in self.modes else ""
+        return f"InElement({modes}{format_operator(self)})"
 
 
 def tensor(factors) -> InElement:
@@ -272,7 +271,9 @@ class PolyXn(Sparse):
         return self._new(out)
 
     def __repr__(self):
-        return f"PolyXn(n={self.n}, {self.terms})"
+        from .opparser import format_poly
+
+        return f"PolyXn(n={self.n}, {format_poly(self)})"
 
 
 def apply_n(a: InElement, p: PolyXn) -> PolyXn:

@@ -43,6 +43,16 @@ EXIT_CODE_CASES = [
     (["ideal", "sum", "{1}"], 2),  # wrong arity
     (["bogus"], 2),  # unknown subcommand
     (["divide", "d1", "d1"], 2),  # missing --left/--right
+    (["ideal", "minprimes", "-n", "2", "{00}", "{01}"], 2),  # wrong arity
+    (["ideal", "-n", "2"], 2),  # no operation
+    (["normalize", "x1^²"], 2),  # a digit int() rejects
+    # counts below 1
+    (["check", "relations", "-n", "0"], 2),
+    (["normalize", "-n", "0", "d1"], 2),
+    (["ideal", "-n", "0", "isprime", "{}"], 2),
+    (["ideal", "isprime", "-n", "-1", "{}"], 2),
+    (["dedekind", "0"], 2),
+    (["dedekind", "-1"], 2),
 ]
 
 
@@ -86,6 +96,35 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_counts_below_one_are_refused_alike(capsys):
+    for args in (["check", "relations", "-n", "0"], ["dedekind", "-1"]):
+        assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "usage error: argument -n: expected a positive integer, got '0'\n"
+        "usage error: argument N: expected a positive integer, got '-1'\n"
+    )
+
+
+class TestIdealArguments:
+    @pytest.mark.parametrize("args", [
+        ["ideal", "-n", "2", "sum", "{01}", "{10}"],
+        ["ideal", "sum", "-n", "2", "{01}", "{10}"],
+        ["ideal", "sum", "{01}", "-n", "2", "{10}"],
+        ["ideal", "sum", "{01}", "{10}", "-n", "2"],
+    ], ids=["before-op", "after-op", "between", "last"])
+    def test_n_anywhere(self, args, capsys):
+        assert run(args) == 0
+        assert capsys.readouterr().out == "{01,10}\n"
+
+    def test_operation_n_overrides_ideal_n(self, capsys):
+        assert run(["ideal", "-n", "3", "isprime", "-n", "2", "{01,10}"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_expression_with_leading_minus_after_double_dash(self):
+        code, out = invoke(["ideal", "member", "-n", "2", "--", "-e1[0,0]*e2[1,1]", "{00}"])
+        assert (code, out) == (0, b"true\n")
 
 
 class TestMachineMode:

@@ -77,6 +77,20 @@ class TestParseOperator:
         assert exc.value.pos == 5
 
 
+    @pytest.mark.parametrize("text,pos", [
+        ("x1^²", 3),  # a digit that int() rejects
+        ("x1 + ½", 5),
+        ("d1 ; d1", 3),
+    ])
+    def test_any_other_character_is_an_error_at_its_position(self, text, pos):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_operator(text, 1)
+        assert exc.value.pos == pos
+
+    def test_other_decimal_digits_are_literals(self):
+        assert parse_operator("٣*d1", 1) == parse_operator("3*d1", 1)
+
+
 class TestPrecedence:
     def test_power_over_scalar(self):
         # 2*H1^2 is 2*(H1^2), not (2*H1)^2

@@ -9,7 +9,7 @@ import pytest
 from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
 
-from conftest import rand_polyh, rand_polyh_nonzero, rand_ratfunc
+from conftest import rand_calb1, rand_polyh, rand_polyh_nonzero, rand_ratfunc
 
 H = PolyH.monomial(1)
 
@@ -103,6 +103,20 @@ class TestShiftedRoots:
             assert nonneg_shifted_roots(p) == brute
 
 
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The argument pairs of every PolyH.gcd call from here on."""
+    calls = []
+    gcd = PolyH.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(PolyH, "gcd", counted)
+    return calls
+
+
 class TestRatFunc:
     def test_add_same(self):
         f = RatFunc(PolyH.const(1), H)
@@ -124,6 +138,20 @@ class TestRatFunc:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             RatFunc(H, PolyH())
+
+    def test_no_gcd_without_a_denominator(self, gcd_calls):
+        assert RatFunc(H + 1).den == 1
+        assert RatFunc.const(Fraction(2, 3)).num == Fraction(2, 3)
+        assert gcd_calls == []
+
+    def test_scalar_times_skew_element_gcds_once_per_term(self, gcd_calls):
+        # the scalar becomes 2/3 over 1 without a gcd; each term product
+        # still reduces its coefficient once
+        b = rand_calb1(random.Random(4), 3, 2)
+        gcd_calls.clear()
+        Fraction(2, 3) * b
+        assert len(b.terms) == 5
+        assert len(gcd_calls) == 5
 
     def test_normalized_invariants(self):
         rng = random.Random(16)

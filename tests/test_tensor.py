@@ -201,6 +201,20 @@ class TestProjectModuloPrime:
             assert killed == ideal_membership(a, amax)
 
 
+class TestRepr:
+    def test_quotient_mode_prints_its_terms_and_modes(self):
+        a = InElement(2, {((0, 0, 1), (0, 0, 0)): 1}) + gen_partial(2, 2)
+        assert repr(project_modulo_prime(a, [2])) == "InElement(modes=('I', 'B'), D2 + H1)"
+
+    def test_full_mode_prints_its_terms(self):
+        assert repr(gen_x(2, 1) + 1) == "InElement(1 + int1*H1)"
+
+    def test_poly_xn_prints_its_terms(self):
+        assert repr(PolyXn(2, {(1, 0): 1, (0, 2): Fraction(-1, 2)})) == (
+            "PolyXn(n=2, -1/2*x2^2 + x1)"
+        )
+
+
 class TestIdealMembership:
     def test_f_tensor_f(self):
         a = tensor(
