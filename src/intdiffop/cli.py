@@ -47,6 +47,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _parse_index_list(text: str) -> list:
+    """The argparse type of --primes: comma-separated factor indices."""
+    try:
+        return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated factor indices, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="intdiffop", description="Exact integro-differential operator calculator")
     p.add_argument("--machine", action="store_true", help="machine-readable output lines")
@@ -76,7 +85,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("project", help="quotient by a sum of height-one primes")
     with_n(sp)
     sp.add_argument("expr")
-    sp.add_argument("--primes", required=True, help="comma-separated factor indices")
+    sp.add_argument("--primes", type=_parse_index_list, required=True,
+                    help="comma-separated factor indices")
 
     sp = sub.add_parser("ideal", help="antichain-encoded ideal operations")
     with_n(sp)
@@ -103,10 +113,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("what", choices=["relations"])
     with_n(sp)
     return p
-
-
-def _parse_index_list(text: str):
-    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def _bool_text(v: bool) -> str:
@@ -172,7 +178,7 @@ def _dispatch(ns) -> int:
         print(format_operator(parse_operator(ns.expr, ns.n).grade_component(ns.degree)))
     elif ns.command == "project":
         a = parse_operator(ns.expr, ns.n)
-        print(format_operator(project_modulo_prime(a, _parse_index_list(ns.primes))))
+        print(format_operator(project_modulo_prime(a, ns.primes)))
     elif ns.command == "ideal":
         return _ideal_command(ns)
     elif ns.command == "dedekind":

@@ -12,7 +12,7 @@ from math import comb
 
 from .errors import DimensionMismatch, LimitExceeded
 
-ENUMERATION_LIMIT = 6
+ENUMERATION_LIMIT = 5
 
 
 def _comparable(f: int, g: int) -> bool:

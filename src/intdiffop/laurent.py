@@ -38,9 +38,6 @@ class _Skew(Sparse):
     def top_degree(self):
         return max(self.terms) if self.terms else None
 
-    def bottom_degree(self):
-        return min(self.terms) if self.terms else None
-
     def to_text(self, dvar: str = "D", hvar: str = "H") -> str:
         segs = []
         for d in sorted(self.terms, reverse=True):
@@ -99,7 +96,7 @@ def length(b):
     """Top degree minus bottom degree of the support; None for zero."""
     if b.is_zero():
         return None
-    return b.top_degree() - b.bottom_degree()
+    return b.top_degree() - min(b.terms)
 
 
 def right_divide(b: CalB1Element, c: CalB1Element):
@@ -110,36 +107,32 @@ def right_divide(b: CalB1Element, c: CalB1Element):
     """
     if c.is_zero():
         raise DivisionByZero("division by zero in the skew Laurent algebra")
-    q = CalB1Element()
+    q = {}
     r = b
     lc = length(c)
     dc = c.top_degree()
     gamma = c.terms[dc]
-    while not r.is_zero() and length(r) >= lc:
+    while r and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
-        mu = r.terms[dr] * gamma.shift(shift).inverse()
-        mono = CalB1Element({shift: mu})
-        q = q + mono
-        r = r - mono * c
-    return q, r
+        mu = q[shift] = r.terms[dr] * gamma.shift(shift).inverse()
+        r = r - r._new({shift: mu}) * c
+    return CalB1Element(q), r
 
 
 def left_divide(b: CalB1Element, c: CalB1Element):
     """b = c*q + r with r = 0 or length(r) < length(c)."""
     if c.is_zero():
         raise DivisionByZero("division by zero in the skew Laurent algebra")
-    q = CalB1Element()
+    q = {}
     r = b
     lc = length(c)
     dc = c.top_degree()
     gamma = c.terms[dc]
-    while not r.is_zero() and length(r) >= lc:
+    while r and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
         # c * mu D^shift has top coefficient gamma * tau^dc(mu)
-        mu = (r.terms[dr] * gamma.inverse()).shift(-dc)
-        mono = CalB1Element({shift: mu})
-        q = q + mono
-        r = r - c * mono
-    return q, r
+        mu = q[shift] = (r.terms[dr] * gamma.inverse()).shift(-dc)
+        r = r - c * r._new({shift: mu})
+    return CalB1Element(q), r

@@ -20,6 +20,7 @@ which also bounds the recursion of the evaluator over the parsed tree.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -64,9 +65,15 @@ def _tokenize(src: str):
             num, slash, den = text.partition("/")
             if slash and not den:
                 raise OperatorSyntaxError("expected digits after '/'", pos + len(num))
-            if den and not int(den):
-                raise OperatorSyntaxError("zero denominator in literal", pos)
-            out.append(Token("num", Fraction(int(num), int(den or 1)), pos))
+            try:
+                if den and not int(den):
+                    raise OperatorSyntaxError("zero denominator in literal", pos)
+                value = Fraction(int(num), int(den or 1))
+            except ValueError:
+                # int() refuses more digits than the interpreter's limit
+                limit = sys.get_int_max_str_digits()
+                raise OperatorSyntaxError(f"more than {limit} digits in literal", pos) from None
+            out.append(Token("num", value, pos))
         elif kind == "op":
             out.append(Token("op", text, pos))
         elif kind == "word":

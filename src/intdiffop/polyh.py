@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import DivisionByZero, ZeroPolynomial
-from .sparse import Sparse
+from .sparse import Sparse, _acc
 
 
 # ---------------------------------------------------------------- text rules
@@ -72,9 +72,6 @@ class PolyH(Sparse):
     def _unit_key(self):
         return 0
 
-    def coeff(self, d: int) -> Fraction:
-        return self.terms.get(d, Fraction(0))
-
     def degree(self):
         """Degree, or None for the zero polynomial."""
         return max(self.terms) if self.terms else None
@@ -86,15 +83,14 @@ class PolyH(Sparse):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._scalar(other)
-        elif type(other) is not type(self):
+            return self.scale(other)
+        if type(other) is not type(self):
             return NotImplemented
         out = {}
         for d1, v1 in self.terms.items():
             for d2, v2 in other.terms.items():
-                d = d1 + d2
-                out[d] = out.get(d, Fraction(0)) + v1 * v2
-        return self._new({d: v for d, v in out.items() if v})
+                _acc(out, d1 + d2, v1 * v2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -104,12 +100,10 @@ class PolyH(Sparse):
             return self
         out = {}
         for d, v in self.terms.items():
-            # (H + k)^d expanded by the binomial theorem
+            # (H + k)^d expanded by the binomial theorem, in integers
             for m in range(d + 1):
-                c = v * comb(d, m) * Fraction(k) ** (d - m)
-                if c:
-                    out[m] = out.get(m, Fraction(0)) + c
-        return self._new({d: v for d, v in out.items() if v})
+                _acc(out, m, v * (comb(d, m) * k ** (d - m)))
+        return self._new(out)
 
     def __call__(self, v) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -121,33 +115,30 @@ class PolyH(Sparse):
             acc = acc * v + self.terms.get(d, Fraction(0))
         return acc
 
-    def monic(self) -> "PolyH":
-        lc = self.leading_coeff()
-        if not lc or lc == 1:
-            return self
-        return self * (1 / lc)
-
     def divmod(self, other: "PolyH"):
-        """Euclidean division; other must be nonzero."""
+        """Euclidean division; other must be nonzero.  One descending sweep
+        over the dividend's term map writes each quotient coefficient once."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        q = self._new({})
-        r = self
-        dother = other.degree()
-        lc = other.leading_coeff()
-        while not r.is_zero() and r.degree() >= dother:
-            d = r.degree() - dother
-            c = r.leading_coeff() / lc
-            t = self._new({d: c})
-            q = q + t
-            r = r - t * other
-        return q, r
+        r = dict(self.terms)
+        tail = dict(other.terms)
+        db = max(tail)
+        lc = tail.pop(db)
+        q = {}
+        for d in range(max(r, default=db - 1), db - 1, -1):
+            c = r.pop(d, None)
+            if c is not None:
+                c = q[d - db] = c / lc
+                for e, v in tail.items():
+                    _acc(r, e + d - db, -c * v)
+        return self._new(q), self._new(r)
 
     def gcd(self, other: "PolyH") -> "PolyH":
+        """The monic greatest common divisor; zero when both are zero."""
         a, b = self, other
-        while not b.is_zero():
+        while b:
             a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        return a.scale(1 / a.leading_coeff()) if a else a
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
@@ -212,14 +203,11 @@ class RatFunc:
             self.num, self.den = PolyH(), ONE
             return
         g = num.gcd(den)
-        if g.degree() and g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
+        if g.degree():
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        inv = 1 / den.leading_coeff()
+        if inv != 1:
+            num, den = num.scale(inv), den.scale(inv)
         self.num, self.den = num, den
 
     @classmethod

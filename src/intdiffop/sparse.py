@@ -19,7 +19,12 @@ from fractions import Fraction
 
 
 def _rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+    """v as a Fraction; only int and Fraction are exact, so a float is refused."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(v).__name__}")
 
 
 def _acc(out: dict, key, c):
@@ -144,9 +149,9 @@ class Sparse:
 
     def scale(self, c) -> "Sparse":
         """c * self for a rational c."""
+        c = _rat(c)
         if not c:
             return self._new({})
-        c = _rat(c)
         return self._new({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, other):

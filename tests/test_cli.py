@@ -53,6 +53,8 @@ EXIT_CODE_CASES = [
     (["ideal", "isprime", "-n", "-1", "{}"], 2),
     (["dedekind", "0"], 2),
     (["dedekind", "-1"], 2),
+    (["dedekind", "6"], 1),  # enumeration limit
+    (["project", "-n", "2", "d1", "--primes", "x"], 2),  # not an index list
 ]
 
 
@@ -105,6 +107,19 @@ def test_counts_below_one_are_refused_alike(capsys):
         "usage error: argument -n: expected a positive integer, got '0'\n"
         "usage error: argument N: expected a positive integer, got '-1'\n"
     )
+
+
+def test_bad_primes_names_the_option_and_the_rule(capsys):
+    assert run(["project", "-n", "2", "d1", "--primes", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: argument --primes: expected comma-separated factor indices, got 'x'\n"
+    )
+
+
+def test_over_long_literal_is_a_parse_error_at_its_position(capsys):
+    assert run(["normalize", "1" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.endswith("(at position 0)\n")
 
 
 class TestIdealArguments:

@@ -218,8 +218,9 @@ class TestEnumeration:
             assert lower <= DEDEKIND[n - 1] <= upper
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            enumerate_ideals(7)
+        for n in (6, 7):
+            with pytest.raises(LimitExceeded):
+                enumerate_ideals(n)
 
 
 class TestText:

@@ -87,6 +87,18 @@ class TestParseOperator:
             parse_operator(text, 1)
         assert exc.value.pos == pos
 
+    @pytest.mark.parametrize("text,pos", [
+        ("d1 + " + "7" * 5000, 5),
+        ("d1 + " + "7" * 5000 + "/2", 5),
+        ("d1 + 2/" + "7" * 5000, 5),
+        ("d1^" + "7" * 5000, 3),
+    ], ids=["integer", "numerator", "denominator", "exponent"])
+    def test_over_long_literal_is_an_error_at_its_position(self, text, pos):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        with pytest.raises(OperatorSyntaxError, match="digits in literal") as exc:
+            parse_operator(text, 1)
+        assert exc.value.pos == pos
+
     def test_other_decimal_digits_are_literals(self):
         assert parse_operator("٣*d1", 1) == parse_operator("3*d1", 1)
 

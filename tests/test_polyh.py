@@ -78,6 +78,63 @@ class TestRingAxioms:
             assert rem.is_zero() or rem.degree() < q.degree()
 
 
+def rat_poly(rng, deg) -> PolyH:
+    """A polynomial of degree exactly deg with rational coefficients."""
+    c = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for d in range(deg)}
+    c[deg] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    return PolyH(c)
+
+
+def division_pairs():
+    """240 seeded (dividend, nonzero divisor) pairs, forty of each kind."""
+    rng = random.Random(24)
+    pairs = []
+    for i in range(240):
+        kind = i % 6
+        if kind == 0:  # any degrees
+            a, b = rat_poly(rng, rng.randint(0, 7)), rat_poly(rng, rng.randint(0, 4))
+        elif kind == 1:  # deg a < deg b
+            a, b = rat_poly(rng, rng.randint(0, 2)), rat_poly(rng, rng.randint(3, 5))
+        elif kind == 2:  # constant divisor
+            a, b = rat_poly(rng, rng.randint(0, 6)), rat_poly(rng, 0)
+        elif kind == 3:  # a common factor of degree 1 or 2
+            g = rat_poly(rng, rng.randint(1, 2))
+            a, b = g * rat_poly(rng, rng.randint(0, 4)), g * rat_poly(rng, rng.randint(0, 3))
+        elif kind == 4:  # zero dividend
+            a, b = PolyH(), rat_poly(rng, rng.randint(0, 4))
+        else:  # divisor of the same degree
+            d = rng.randint(1, 5)
+            a, b = rat_poly(rng, d), rat_poly(rng, d)
+        pairs.append((a, b))
+    return pairs
+
+
+class TestSympyOracle:
+    """Division and gcd in K[H] against sympy, an independent implementation."""
+
+    def test_divmod_and_gcd_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        h = sympy.Symbol("H")
+
+        def to_sympy(p):
+            rat = sympy.Rational
+            terms = {(d,): rat(v.numerator, v.denominator) for d, v in p.terms.items()}
+            return sympy.Poly(terms or {(0,): 0}, h, domain="QQ")
+
+        def terms(poly):
+            return {d: Fraction(int(v.p), int(v.q)) for (d,), v in poly.as_dict().items()}
+
+        pairs = division_pairs()
+        assert sum(b.leading_coeff() != 1 for _, b in pairs) > 200
+        for a, b in pairs:
+            sa, sb = to_sympy(a), to_sympy(b)
+            q, r = a.divmod(b)
+            sq, sr = sympy.div(sa, sb)
+            assert (q.terms, r.terms) == (terms(sq), terms(sr))
+            g = terms(sympy.gcd(sa, sb))
+            assert a.gcd(b).terms == g and b.gcd(a).terms == g
+
+
 class TestShiftedRoots:
     def test_linear(self):
         assert nonneg_shifted_roots(H - 1) == {0}

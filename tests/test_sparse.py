@@ -73,3 +73,12 @@ def test_coeffs_is_a_copy(case):
     assert x == make(terms) and hash(x) == h
     x.coeffs.clear()
     assert x == make(terms) and hash(x) == h
+
+
+def test_float_coefficients_are_refused(case):
+    # Fraction(0.1) would be the binary expansion of 0.1, not 1/10
+    make, terms, spare = case
+    with pytest.raises(TypeError, match="not float"):
+        make({**terms, spare: 0.1})
+    with pytest.raises(TypeError, match="not float"):
+        make(terms).scale(0.5)
