@@ -26,7 +26,8 @@ class _Skew(Sparse):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._scalar(other)
+            # a rational is central and shift-invariant: scale each coefficient
+            return self.scale(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         out = {}

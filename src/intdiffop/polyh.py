@@ -1,14 +1,16 @@
 """Exact univariate polynomials and rational functions in H over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating point
-anywhere in the engine.  Polynomials are stored sparsely by degree and the
-shift automorphism tau (H -> H+1) is a first-class operation.
+Polynomials store `fractions.Fraction` coefficients sparsely by degree; there
+is no floating point anywhere in the engine, and the shift automorphism tau
+(H -> H+1) is a first-class operation.  The gcd clears denominators and runs
+in Python ints; rational functions stay reduced by cancelling crosswise in
+products and by Henrici's rule in sums, so only small gcds are ever taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd as igcd, lcm
 
 from .errors import DivisionByZero, ZeroPolynomial
 from .sparse import Sparse, _acc
@@ -50,6 +52,56 @@ def join_terms(segments) -> str:
         else:
             out.append(f"+ {body}" if sign > 0 else f"- {body}")
     return " ".join(out) or "0"
+
+
+# ---------------------------------------------------- integer coefficient lists
+# Dense lists of Python ints, highest degree first; [] is the zero polynomial.
+
+def _primitive(terms: dict) -> list:
+    """The rational term map with denominators cleared and content divided
+    out: coprime integer coefficients, highest degree first."""
+    if not terms:
+        return []
+    den = 1
+    for v in terms.values():
+        den = lcm(den, v.denominator)
+    top = max(terms)
+    out = [0] * (top + 1)
+    g = 0
+    for d, v in terms.items():
+        c = out[top - d] = v.numerator * (den // v.denominator)
+        g = igcd(g, c)
+    return out if g == 1 else [c // g for c in out]
+
+
+def _prem(a: list, b: list) -> list:
+    """The primitive part of a pseudo-remainder of a by b, for nonzero a and
+    b with len(a) >= len(b); [] when b divides a.
+
+    Each step clears the leading entry as m*r - c*H^k*b with m, c the
+    cofactors of lc(b) and that entry over their gcd.  The entries below the
+    window of b take the factor m only when the sweep reaches them, so a step
+    costs len(b) whatever the length of a."""
+    r = list(a)
+    lb, n = b[0], len(b)
+    owed = 1
+    for i in range(len(r) - n + 1):
+        r[i + n - 1] *= owed
+        c = r[i]
+        if c:
+            g = igcd(c, lb)
+            c, m = c // g, lb // g
+            for k in range(1, n):
+                r[i + k] = m * r[i + k] - c * b[k]
+            owed *= m
+    r = r[len(r) - n + 1:]
+    g = 0
+    for c in r:
+        g = igcd(g, c)
+    for i, c in enumerate(r):
+        if c:
+            return [x // g for x in r[i:]]
+    return []
 
 
 class PolyH(Sparse):
@@ -134,11 +186,20 @@ class PolyH(Sparse):
         return self._new(q), self._new(r)
 
     def gcd(self, other: "PolyH") -> "PolyH":
-        """The monic greatest common divisor; zero when both are zero."""
-        a, b = self, other
+        """The monic greatest common divisor; zero when both are zero.
+
+        The primitive remainder sequence (Collins, JACM 14(1), 1967; Brown &
+        Traub, JACM 18(4), 1971) runs on integer primitive parts; only the
+        last remainder is made monic, as Fractions."""
+        a, b = _primitive(self.terms), _primitive(other.terms)
+        if len(a) < len(b):
+            a, b = b, a
         while b:
-            a, b = b, a.divmod(b)[1]
-        return a.scale(1 / a.leading_coeff()) if a else a
+            a, b = b, _prem(a, b)
+        if not a:
+            return self._new({})
+        lc, top = a[0], len(a) - 1
+        return self._new({top - i: Fraction(c, lc) for i, c in enumerate(a) if c})
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
@@ -159,14 +220,14 @@ def nonneg_shifted_roots(p: PolyH):
     """
     if p.is_zero():
         raise ZeroPolynomial("kernel of right multiplication by 0 is everything")
-    # Strip the power of H; H^v contributes only the root 0, never a root >= 1.
-    c = p.terms
-    low = min(c)
-    shifted = {d - low: v for d, v in c.items()}
-    # Clear denominators: positive integer roots divide the constant term.
-    a0 = abs(int(shifted[0] * lcm(*(v.denominator for v in shifted.values()))))
+    # Clear denominators: integer roots of the primitive part divide its
+    # lowest nonzero coefficient (the power of H it strips off contributes
+    # only the root 0, never a root >= 1).
+    c = _primitive(p.terms)
+    while not c[-1]:
+        c.pop()
     roots = set()
-    for m in _positive_divisors(a0):
+    for m in _positive_divisors(abs(c[-1])):
         if p(m) == 0:
             roots.add(m - 1)
     return roots
@@ -182,6 +243,16 @@ def _positive_divisors(a0: int):
                 out.append(a0 // d)
         d += 1
     return sorted(out)
+
+
+def _cofactors(p: PolyH, q: PolyH):
+    """(g, p/g, q/g) for the monic g = gcd(p, q) of nonzero p and q; no gcd
+    is taken when either is a constant."""
+    if p.degree() and q.degree():
+        g = p.gcd(q)
+        if g.degree():
+            return g, p.divmod(g)[0], q.divmod(g)[0]
+    return ONE, p, q
 
 
 class RatFunc:
@@ -202,9 +273,7 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = PolyH(), ONE
             return
-        g = num.gcd(den)
-        if g.degree():
-            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        _, num, den = _cofactors(num, den)
         inv = 1 / den.leading_coeff()
         if inv != 1:
             num, den = num.scale(inv), den.scale(inv)
@@ -252,7 +321,15 @@ class RatFunc:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Henrici's sum (Knuth, TAOCP vol. 2, §4.5.1): with d1 = g*e1 and
+        # d2 = g*e2 for g = gcd(d1, d2), only gcd(t, g) can divide both
+        # t = n1*e2 + n2*e1 and e1*e2*g
+        g, e1, e2 = _cofactors(self.den, other.den)
+        t = self.num * e2 + other.num * e1
+        if t.is_zero():
+            return RatFunc(t)
+        _, t, g = _cofactors(t, g)
+        return RatFunc._reduced(t, e1 * e2 * g)
 
     __radd__ = __add__
 
@@ -266,10 +343,21 @@ class RatFunc:
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the numerator of a reduced pair
+            return RatFunc._reduced(self.num.scale(other), self.den) if other else RatFunc(0)
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RatFunc(0)
+        # crosswise cancellation (Knuth, TAOCP vol. 2, §4.5.1): n1/d1 and
+        # n2/d2 are reduced, so after gcd(n1, d2) and gcd(n2, d1) are divided
+        # out nothing is left to cancel; the quotients of monic denominators
+        # by monic gcds are monic, and so is their product
+        _, n1, d2 = _cofactors(self.num, other.den)
+        _, n2, d1 = _cofactors(other.num, self.den)
+        return RatFunc._reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 

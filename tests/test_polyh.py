@@ -2,12 +2,14 @@
 
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
+from intdiffop.laurent import CalB1Element
 
 from conftest import rand_calb1, rand_polyh, rand_polyh_nonzero, rand_ratfunc
 
@@ -135,6 +137,51 @@ class TestSympyOracle:
             assert a.gcd(b).terms == g and b.gcd(a).terms == g
 
 
+def euclid_gcd(a: PolyH, b: PolyH) -> PolyH:
+    """Reference monic gcd: Euclid on remainders over Fractions."""
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a.scale(1 / a.leading_coeff()) if a else a
+
+
+def wide_poly(rng, deg) -> PolyH:
+    """A polynomial of degree exactly deg with 47-bit rational coefficients."""
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.getrandbits(47), rng.getrandbits(47) or 1)
+    c = {d: coeff() for d in range(deg + 1)}
+    while not c[deg]:
+        c[deg] = coeff()
+    return PolyH(c)
+
+
+class TestIntegerGcd:
+    """The integer primitive remainder sequence against Fraction Euclid."""
+
+    def test_matches_fraction_euclid(self):
+        rng = random.Random(25)
+        seen = set()
+        for i in range(60):
+            dg = i % 6  # the degree of the common factor, 0..5
+            g = wide_poly(rng, dg)
+            da, db = rng.randint(0, 9 - dg), rng.randint(0, 9 - dg)
+            a, b = g * wide_poly(rng, da), g * wide_poly(rng, db)
+            if i % 5 == 0:  # a sparse factor with gaps
+                a = a * (H ** rng.randint(1, 5) + rng.randint(-9, 9))
+            assert max(a.degree(), b.degree()) <= 14
+            want = euclid_gcd(a, b)
+            assert a.gcd(b) == want and b.gcd(a) == want
+            assert want.degree() >= dg
+            seen.add(want.degree())
+        assert len(seen) >= 6
+
+    def test_zero_and_constant_operands(self):
+        p = wide_poly(random.Random(26), 4)
+        assert PolyH().gcd(PolyH()) == PolyH()
+        assert PolyH().gcd(p) == p.gcd(PolyH()) == euclid_gcd(p, PolyH())
+        assert p.gcd(PolyH.const(Fraction(-3, 7))) == 1
+        assert (H**9 + 1).gcd(H + 1) == H + 1
+
+
 class TestShiftedRoots:
     def test_linear(self):
         assert nonneg_shifted_roots(H - 1) == {0}
@@ -201,14 +248,19 @@ class TestRatFunc:
         assert RatFunc.const(Fraction(2, 3)).num == Fraction(2, 3)
         assert gcd_calls == []
 
-    def test_scalar_times_skew_element_gcds_once_per_term(self, gcd_calls):
-        # the scalar becomes 2/3 over 1 without a gcd; each term product
-        # still reduces its coefficient once
+    def test_scalar_times_skew_element_runs_no_gcd_or_shift(self, gcd_calls, monkeypatch):
+        # a rational scales the numerator of each reduced coefficient: no
+        # scalar element, no shift and no gcd
         b = rand_calb1(random.Random(4), 3, 2)
+        shifts = []
+        shift = PolyH.shift
+        monkeypatch.setattr(PolyH, "shift", lambda p, k: shifts.append(k) or shift(p, k))
         gcd_calls.clear()
-        Fraction(2, 3) * b
+        c = Fraction(2, 3) * b
         assert len(b.terms) == 5
-        assert len(gcd_calls) == 5
+        assert len(gcd_calls) == 0 and shifts == []
+        # the full product with the scalar element agrees
+        assert c == b * CalB1Element({0: Fraction(2, 3)}) == b * Fraction(2, 3)
 
     def test_normalized_invariants(self):
         rng = random.Random(16)
@@ -270,6 +322,91 @@ class TestRatFunc:
             f.shift(k - 10)
             f.inverse()
         assert calls == []
+
+
+def fast_path_pairs():
+    """240 seeded pairs of rational functions, thirty of each kind, built
+    from non-monic polynomials with rational coefficients."""
+    rng = random.Random(27)
+    pairs = []
+    for i in range(240):
+        kind = i % 8
+        a, b, c, d = (rat_poly(rng, rng.randint(0, 3)) for _ in range(4))
+        f = rat_poly(rng, rng.randint(1, 2))  # a factor put on both sides
+        if kind == 0:  # no planted factor
+            pair = RatFunc(a, b), RatFunc(c, d)
+        elif kind == 1:  # n1 and d2 share f
+            pair = RatFunc(f * a, b), RatFunc(c, f * d)
+        elif kind == 2:  # n2 and d1 share f
+            pair = RatFunc(a, f * b), RatFunc(f * c, d)
+        elif kind == 3:  # d1 and d2 share f
+            pair = RatFunc(a, f * b), RatFunc(c, f * d)
+        elif kind == 4:  # equal denominators
+            pair = RatFunc(a, f * b), RatFunc(c, f * b)
+        elif kind == 5:  # a constant operand
+            pair = RatFunc(a, b), RatFunc(rat_poly(rng, 0))
+        elif kind == 6:  # a zero operand
+            pair = RatFunc(PolyH(), b), RatFunc(c, d)
+        else:  # the sum c/(b*d) loses the factor f*b of the shared denominator
+            x, y = RatFunc(a, f * b), RatFunc(c, b * d)
+            pair = x, RatFunc(y.num * x.den - x.num * y.den, x.den * y.den)
+        pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    return pairs
+
+
+def assert_reduced(r: RatFunc):
+    assert r.den.leading_coeff() == 1
+    assert euclid_gcd(r.num, r.den) == 1 or (r.num.is_zero() and r.den == 1)
+
+
+class TestRatFuncFastPaths:
+    """Crosswise products and Henrici sums against the general normaliser."""
+
+    def test_products_and_sums_match_the_normaliser(self):
+        pairs = fast_path_pairs()
+        product_cancels = sum_cancels = 0
+        for f, g in pairs:
+            n1, d1, n2, d2 = f.num, f.den, g.num, g.den
+            product, total, difference = f * g, f + g, f - g
+            assert product == RatFunc(n1 * n2, d1 * d2)
+            assert total == RatFunc(n1 * d2 + n2 * d1, d1 * d2)
+            assert difference == RatFunc(n1 * d2 - n2 * d1, d1 * d2)
+            for r in (product, total, difference):
+                assert_reduced(r)
+            degrees = d1.degree() + d2.degree()
+            product_cancels += product.den.degree() < degrees and not product.is_zero()
+            sum_cancels += total.den.degree() < degrees and not total.is_zero()
+        # the planted factors really cancel
+        assert product_cancels >= 50 and sum_cancels >= 80
+
+    def test_rational_scalars(self):
+        for f, _ in fast_path_pairs()[:60]:
+            c = f.num.leading_coeff() or Fraction(-2, 9)
+            for k in (c, 3, -1):
+                assert f * k == k * f == RatFunc(f.num.scale(k), f.den)
+                assert_reduced(f * k)
+            assert f * 0 == 0 and (f * 0).den == 1
+
+    def test_repeated_calls_retain_no_memory(self):
+        rng = random.Random(28)
+        polys = [rat_poly(rng, rng.randint(1, 6)) for _ in range(600)]
+        fs = [RatFunc(p, q) for p, q in zip(polys[::2], polys[1::2])]
+
+        def calls():
+            for p, q, f, g in zip(polys[::2], polys[1::2], fs, fs[1:] + fs[:1]):
+                p.gcd(q)
+                f * g
+                f + g
+
+        tracemalloc.start()
+        try:
+            calls()  # 300 gcds, products and sums to warm up
+            before = tracemalloc.get_traced_memory()[0]
+            calls()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
 
 
 class TestForeignOperands:
