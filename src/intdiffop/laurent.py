@@ -112,11 +112,13 @@ def right_divide(b: CalB1Element, c: CalB1Element):
     r = b
     lc = length(c)
     dc = c.top_degree()
-    gamma = c.terms[dc]
+    # one inverse of the top coefficient gamma of c: tau is an automorphism,
+    # so tau^s(1/gamma) = 1/tau^s(gamma)
+    inv = c.terms[dc].inverse()
     while r and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
-        mu = q[shift] = r.terms[dr] * gamma.shift(shift).inverse()
+        mu = q[shift] = r.terms[dr] * inv.shift(shift)
         r = r - r._new({shift: mu}) * c
     return CalB1Element(q), r
 
@@ -129,11 +131,12 @@ def left_divide(b: CalB1Element, c: CalB1Element):
     r = b
     lc = length(c)
     dc = c.top_degree()
-    gamma = c.terms[dc]
+    inv = c.terms[dc].inverse()
     while r and length(r) >= lc:
         dr = r.top_degree()
         shift = dr - dc
-        # c * mu D^shift has top coefficient gamma * tau^dc(mu)
-        mu = q[shift] = (r.terms[dr] * gamma.inverse()).shift(-dc)
+        # c * mu D^shift has top coefficient gamma * tau^dc(mu), gamma the
+        # top coefficient of c
+        mu = q[shift] = (r.terms[dr] * inv).shift(-dc)
         r = r - c * r._new({shift: mu})
     return CalB1Element(q), r

@@ -3,8 +3,11 @@
 Polynomials store `fractions.Fraction` coefficients sparsely by degree; there
 is no floating point anywhere in the engine, and the shift automorphism tau
 (H -> H+1) is a first-class operation.  The gcd clears denominators and runs
-in Python ints; rational functions stay reduced by cancelling crosswise in
-products and by Henrici's rule in sums, so only small gcds are ever taken.
+in Python ints, and so do the cofactors p/g and q/g: each is an exact
+quotient of primitive integer lists, turned back into Fractions once.
+Rational functions stay reduced by cancelling crosswise in products and by
+Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
+so only small gcds are ever taken.
 """
 
 from __future__ import annotations
@@ -57,11 +60,12 @@ def join_terms(segments) -> str:
 # ---------------------------------------------------- integer coefficient lists
 # Dense lists of Python ints, highest degree first; [] is the zero polynomial.
 
-def _primitive(terms: dict) -> list:
-    """The rational term map with denominators cleared and content divided
-    out: coprime integer coefficients, highest degree first."""
+def _primitive(terms: dict):
+    """(a, c): the rational term map as its content c > 0 times the integer
+    list a, whose coefficients are coprime, highest degree first; ([], 0)
+    for the zero map."""
     if not terms:
-        return []
+        return [], Fraction(0)
     den = 1
     for v in terms.values():
         den = lcm(den, v.denominator)
@@ -71,7 +75,7 @@ def _primitive(terms: dict) -> list:
     for d, v in terms.items():
         c = out[top - d] = v.numerator * (den // v.denominator)
         g = igcd(g, c)
-    return out if g == 1 else [c // g for c in out]
+    return (out if g == 1 else [c // g for c in out]), Fraction(g, den)
 
 
 def _prem(a: list, b: list) -> list:
@@ -102,6 +106,40 @@ def _prem(a: list, b: list) -> list:
         if c:
             return [x // g for x in r[i:]]
     return []
+
+
+def _prs(a: list, b: list) -> list:
+    """A primitive gcd of the primitive integer lists a and b, up to sign;
+    [] when both are zero.  The primitive remainder sequence (Collins, JACM
+    14(1), 1967; Brown & Traub, JACM 18(4), 1971)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _exquo(a: list, b: list) -> list:
+    """a / b for integer lists with b dividing a in Z[H].
+
+    Each quotient entry is an exact integer division by lc(b).  Entry i of
+    the quotient reads only the first i + 1 entries of a, so the last
+    len(b) - 1 entries are never read: they cancel."""
+    n = len(a) - len(b) + 1
+    q = a[:n]
+    lb, m = b[0], len(b)
+    for i in range(n):
+        c = q[i] = q[i] // lb
+        if c:
+            for k in range(1, min(m, n - i)):
+                q[i + k] -= c * b[k]
+    return q
+
+
+def _scaled(a: list, s: Fraction) -> dict:
+    """The term map of s times the integer list a."""
+    top = len(a) - 1
+    return {top - i: s * c for i, c in enumerate(a) if c}
 
 
 class PolyH(Sparse):
@@ -167,9 +205,19 @@ class PolyH(Sparse):
             acc = acc * v + self.terms.get(d, Fraction(0))
         return acc
 
-    def divmod(self, other: "PolyH"):
-        """Euclidean division; other must be nonzero.  One descending sweep
-        over the dividend's term map writes each quotient coefficient once."""
+    def _polynomial(self, other) -> "PolyH":
+        """other as a polynomial of self's type, a rational as a constant;
+        TypeError for a foreign type."""
+        p = self._operand(other)
+        if p is None:
+            raise TypeError(f"expected a polynomial or a rational, not {type(other).__name__}")
+        return p
+
+    def divmod(self, other):
+        """Euclidean division by a nonzero polynomial or rational.  One
+        descending sweep over the dividend's term map writes each quotient
+        coefficient once."""
+        other = self._polynomial(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         r = dict(self.terms)
@@ -185,21 +233,13 @@ class PolyH(Sparse):
                     _acc(r, e + d - db, -c * v)
         return self._new(q), self._new(r)
 
-    def gcd(self, other: "PolyH") -> "PolyH":
-        """The monic greatest common divisor; zero when both are zero.
-
-        The primitive remainder sequence (Collins, JACM 14(1), 1967; Brown &
-        Traub, JACM 18(4), 1971) runs on integer primitive parts; only the
-        last remainder is made monic, as Fractions."""
-        a, b = _primitive(self.terms), _primitive(other.terms)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            a, b = b, _prem(a, b)
-        if not a:
-            return self._new({})
-        lc, top = a[0], len(a) - 1
-        return self._new({top - i: Fraction(c, lc) for i, c in enumerate(a) if c})
+    def gcd(self, other) -> "PolyH":
+        """The monic greatest common divisor with a polynomial or a rational;
+        zero when both are zero.  The remainder sequence runs on integer
+        primitive parts; only its last remainder is made monic, as Fractions."""
+        other = self._polynomial(other)
+        g = _prs(_primitive(self.terms)[0], _primitive(other.terms)[0])
+        return self._new(_scaled(g, Fraction(1, g[0])) if g else {})
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
@@ -223,7 +263,7 @@ def nonneg_shifted_roots(p: PolyH):
     # Clear denominators: integer roots of the primitive part divide its
     # lowest nonzero coefficient (the power of H it strips off contributes
     # only the root 0, never a root >= 1).
-    c = _primitive(p.terms)
+    c = _primitive(p.terms)[0]
     while not c[-1]:
         c.pop()
     roots = set()
@@ -247,11 +287,21 @@ def _positive_divisors(a0: int):
 
 def _cofactors(p: PolyH, q: PolyH):
     """(g, p/g, q/g) for the monic g = gcd(p, q) of nonzero p and q; no gcd
-    is taken when either is a constant."""
+    is taken when either is a constant.
+
+    With p = c*a and q = e*b for primitive integer lists a and b, the
+    primitive gcd G of a and b divides each of them exactly in Z[H] (Gauss's
+    lemma), so p/g = c * lc(G) * (a/G), and likewise for q: two integer
+    quotients, each turned into Fractions once."""
     if p.degree() and q.degree():
-        g = p.gcd(q)
-        if g.degree():
-            return g, p.divmod(g)[0], q.divmod(g)[0]
+        a, c = _primitive(p.terms)
+        b, e = _primitive(q.terms)
+        g = _prs(a, b)
+        if len(g) > 1:
+            lc = g[0]
+            return (p._new(_scaled(g, Fraction(1, lc))),
+                    p._new(_scaled(_exquo(a, g), c * lc)),
+                    q._new(_scaled(_exquo(b, g), e * lc)))
     return ONE, p, q
 
 
@@ -321,15 +371,20 @@ class RatFunc:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        # Henrici's sum (Knuth, TAOCP vol. 2, §4.5.1): with d1 = g*e1 and
-        # d2 = g*e2 for g = gcd(d1, d2), only gcd(t, g) can divide both
-        # t = n1*e2 + n2*e1 and e1*e2*g
-        g, e1, e2 = _cofactors(self.den, other.den)
-        t = self.num * e2 + other.num * e1
+        if self.den == other.den:
+            # equal denominators d: only gcd(n1 + n2, d) can divide both
+            e1 = None
+            g, t = self.den, self.num + other.num
+        else:
+            # Henrici's sum (Knuth, TAOCP vol. 2, §4.5.1): with d1 = g*e1
+            # and d2 = g*e2 for g = gcd(d1, d2), only gcd(t, g) can divide
+            # both t = n1*e2 + n2*e1 and e1*e2*g
+            g, e1, e2 = _cofactors(self.den, other.den)
+            t = self.num * e2 + other.num * e1
         if t.is_zero():
             return RatFunc(t)
         _, t, g = _cofactors(t, g)
-        return RatFunc._reduced(t, e1 * e2 * g)
+        return RatFunc._reduced(t, g if e1 is None else e1 * e2 * g)
 
     __radd__ = __add__
 
@@ -372,6 +427,12 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def shift(self, k: int) -> "RatFunc":
         # tau^k is a ring automorphism that keeps degrees and leading

@@ -144,6 +144,26 @@ class TestLeftDivide:
             assert r.is_zero() or length(r) < length(c)
 
 
+class TestOneInversePerDivision:
+    """tau^s(1/gamma) = 1/tau^s(gamma), so a division inverts the divisor's
+    top coefficient once, however many steps it takes."""
+
+    @pytest.mark.parametrize("divide", [right_divide, left_divide])
+    def test_inverse_calls(self, divide, monkeypatch):
+        rng = random.Random(78)
+        pairs = [(rand_calb1(rng, 4, 2), rand_calb1_nonzero(rng, 1, 2)) for _ in range(30)]
+        calls = []
+        inverse = RatFunc.inverse
+        monkeypatch.setattr(RatFunc, "inverse", lambda f: calls.append(f) or inverse(f))
+        steps = 0
+        for b, c in pairs:
+            calls.clear()
+            q, r = divide(b, c)
+            assert calls == [c.terms[c.top_degree()]]
+            steps += len(q.terms)
+        assert steps >= 60
+
+
 class TestProjectionHomomorphism:
     def test_randomized(self):
         rng = random.Random(77)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots
+from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots, polyh
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
 from intdiffop.laurent import CalB1Element
 
@@ -111,6 +111,33 @@ def division_pairs():
     return pairs
 
 
+class TestRationalOperands:
+    """divmod and gcd take a rational as the constant polynomial."""
+
+    def test_divmod_by_a_rational(self):
+        p = H + 1
+        for c in (2, Fraction(-3, 4)):
+            q, r = p.divmod(c)
+            assert q == p.scale(1 / Fraction(c)) and r.is_zero()
+        with pytest.raises(DivisionByZero):
+            p.divmod(0)
+        with pytest.raises(DivisionByZero):
+            p.divmod(Fraction(0))
+
+    def test_gcd_with_a_rational(self):
+        p = 2 * H + 1
+        assert p.gcd(2) == 1 and p.gcd(Fraction(-1, 3)) == 1
+        assert p.gcd(0) == H + Fraction(1, 2)
+        assert PolyH().gcd(5) == 1
+
+    def test_foreign_operand_raises_type_error(self):
+        for bad in ("H", 1.5, RatFunc(H), PolyX({1: 1})):
+            with pytest.raises(TypeError):
+                H.divmod(bad)
+            with pytest.raises(TypeError):
+                H.gcd(bad)
+
+
 class TestSympyOracle:
     """Division and gcd in K[H] against sympy, an independent implementation."""
 
@@ -209,15 +236,16 @@ class TestShiftedRoots:
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
-    """The argument pairs of every PolyH.gcd call from here on."""
+    """The argument pairs of every gcd a rational function takes from here on:
+    each one runs through `polyh._cofactors`."""
     calls = []
-    gcd = PolyH.gcd
+    cofactors = polyh._cofactors
 
     def counted(a, b):
         calls.append((a, b))
-        return gcd(a, b)
+        return cofactors(a, b)
 
-    monkeypatch.setattr(PolyH, "gcd", counted)
+    monkeypatch.setattr(polyh, "_cofactors", counted)
     return calls
 
 
@@ -294,15 +322,13 @@ class TestRatFunc:
             assert -f == RatFunc(-f.num, f.den)
             assert -(-f) == f and f + (-f) == 0
 
-    def test_negation_runs_no_gcd(self, monkeypatch):
+    def test_negation_runs_no_gcd(self, gcd_calls):
         rng = random.Random(20)
         fs = [rand_ratfunc(rng) for _ in range(20)]
-        calls = []
-        gcd = PolyH.gcd
-        monkeypatch.setattr(PolyH, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        gcd_calls.clear()
         for f in fs:
             -f
-        assert calls == []
+        assert gcd_calls == []
 
     def test_shift_and_inverse_keep_reduced_pair(self):
         rng = random.Random(21)
@@ -312,16 +338,113 @@ class TestRatFunc:
             assert f.shift(k) == RatFunc(f.num.shift(k), f.den.shift(k))
             assert f.inverse() == RatFunc(f.den, f.num)
 
-    def test_shift_and_inverse_run_no_gcd(self, monkeypatch):
+    def test_shift_and_inverse_run_no_gcd(self, gcd_calls):
         rng = random.Random(22)
         fs = [rand_ratfunc(rng) for _ in range(20)]
-        calls = []
-        gcd = PolyH.gcd
-        monkeypatch.setattr(PolyH, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        gcd_calls.clear()
         for k, f in enumerate(fs):
             f.shift(k - 10)
             f.inverse()
-        assert calls == []
+        assert gcd_calls == []
+
+    def test_equal_denominators_take_one_gcd(self, gcd_calls):
+        # Henrici's equal-denominator case: only gcd(n1 + n2, d) is taken
+        d = (H + 1) * (2 * H - 3)
+        f, g = RatFunc(H, d), RatFunc(H + 5, d)
+        gcd_calls.clear()
+        total = f + g
+        assert len(gcd_calls) == 1
+        assert total == RatFunc(2 * H + 5, d)
+        # a sum that cancels part of the denominator
+        g = RatFunc(H - 3, d)
+        gcd_calls.clear()
+        total = f + g
+        assert len(gcd_calls) == 1
+        assert total == RatFunc(PolyH.const(1), H + 1)
+
+    def test_reflected_division(self):
+        f = RatFunc(H + 1, 2 * H)
+        for left in (1, Fraction(-2, 3), H, H * H - 1):
+            assert left / f == RatFunc(left) * f.inverse()
+            assert_reduced(left / f)
+        assert 1 / f == RatFunc(2 * H, H + 1)
+        assert H / f == RatFunc(2 * H * H, H + 1)
+        assert Fraction(1, 2) / RatFunc(H) == RatFunc(PolyH.const(1), 2 * H)
+        assert 0 / f == 0 and PolyH() / f == 0
+        for left in (1, Fraction(1, 2), H, 0):
+            with pytest.raises(DivisionByZero):
+                left / RatFunc(0)
+        with pytest.raises(TypeError):
+            "H" / f
+
+
+def ref_cofactors(p: PolyH, q: PolyH):
+    """Reference cofactors: the monic gcd, then two Euclidean divisions by it
+    over Fractions."""
+    if p.degree() and q.degree():
+        g = p.gcd(q)
+        if g.degree():
+            return g, p.divmod(g)[0], q.divmod(g)[0]
+    return PolyH.const(1), p, q
+
+
+def cofactor_pairs():
+    """Seeded nonzero pairs, twenty of each kind."""
+    rng = random.Random(29)
+    pairs = []
+    for i in range(160):
+        kind = i % 8
+        g = rat_poly(rng, rng.randint(1, 3))
+        a, b = rat_poly(rng, rng.randint(0, 4)), rat_poly(rng, rng.randint(0, 4))
+        if kind == 0:  # a planted common factor with rational content
+            pair = g * a, g * b
+        elif kind == 1:  # interior zero coefficients
+            gap = H ** rng.randint(2, 5) + rng.randint(-3, 3)
+            pair = gap * g * a, g * b * (H ** 3 - 2)
+        elif kind == 2:  # negative leading coefficients
+            x, y = g * a, g * b
+            pair = (x if x.leading_coeff() < 0 else -x), (y if y.leading_coeff() < 0 else -y)
+        elif kind == 3:  # equal operands
+            pair = g * a, g * a
+        elif kind == 4:  # one operand divides the other
+            pair = g, g * b * Fraction(-3, 4)
+        elif kind == 5:  # coprime: the quotients are the operands
+            pair = H * H + 1, (H - 1) * rat_poly(rng, 0)
+        elif kind == 6:  # a constant operand
+            pair = g * a, rat_poly(rng, 0)
+        else:  # 47-bit rational coefficients
+            w = wide_poly(rng, 2)
+            pair = w * wide_poly(rng, 3), w * wide_poly(rng, 2)
+        pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    return pairs
+
+
+class TestCofactors:
+    """Integer cofactors against the gcd and two divisions over Fractions."""
+
+    def test_match_the_reference(self):
+        nontrivial = 0
+        for p, q in cofactor_pairs():
+            got, want = polyh._cofactors(p, q), ref_cofactors(p, q)
+            assert [x.terms for x in got] == [x.terms for x in want]
+            g, u, v = got
+            assert g * u == p and g * v == q and g.leading_coeff() == 1
+            assert all(type(c) is Fraction for x in got for c in x.terms.values())
+            nontrivial += g.degree() > 0
+        assert nontrivial >= 100
+
+    def test_exact_integer_quotient(self):
+        # (H^2 + 5) * (3*H^2 - 2*H + 7) = 3*H^4 - 2*H^3 + 22*H^2 - 10*H + 35
+        g, b, prod = [1, 0, 5], [3, -2, 7], [3, -2, 22, -10, 35]
+        assert polyh._exquo(prod, g) == b and polyh._exquo(prod, b) == g
+        assert polyh._exquo(b, [-1]) == [-3, 2, -7] and polyh._exquo(b, b) == [1]
+
+    def test_primitive_content(self):
+        for p, _ in cofactor_pairs()[:40]:
+            a, c = polyh._primitive(p.terms)
+            top = len(a) - 1
+            assert c > 0 and PolyH({top - i: x for i, x in enumerate(a)}).scale(c) == p
+        assert polyh._primitive({}) == ([], 0)
 
 
 def fast_path_pairs():
