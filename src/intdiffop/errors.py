@@ -26,7 +26,8 @@ class EmptyFactorList(IntDiffOpError):
 
 
 class LimitExceeded(IntDiffOpError):
-    """Enumeration request beyond the configured size limit."""
+    """A request beyond one of the engine's fixed size limits: the ideal
+    enumeration limit or the term pairs of one product in a power."""
 
 
 class _AtPosition(IntDiffOpError):

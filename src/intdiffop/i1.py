@@ -11,12 +11,15 @@ maps coincide.
 Reduction conventions: polynomial coefficients sit to the LEFT of d-powers and
 to the RIGHT of int-powers; the boundary cases e[i,-1] = e[-1,j] = 0 are forced
 by e[0,0]*int = 0 and d*e[0,0] = 0.
+
+Monomial products are closed forms over Python ints, with no memo; every
+monomial they emit is interned, so results share one tuple per monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 
 from .errors import ZeroPolynomial
 from .laurent import B1Element
@@ -58,105 +61,77 @@ def mono_involution(m):
     return (1, v, u) if tag else (0, -u, v)
 
 
-def _word(k: int, j: int):
-    """The word (0, k, j) as (a, p, b), meaning int^a * p(H) * d^b."""
-    return max(k, 0), PolyH.monomial(j), max(-k, 0)
+def _binomial_row(c: int, j: int) -> list:
+    """The integer coefficients of (H + c)^j, lowest degree first."""
+    return [comb(j, i) * c ** (j - i) for i in range(j + 1)]
 
 
-def _emit_word(a: int, p: PolyH, b: int, out: dict):
-    """Accumulate int^a p(H) d^b with a*b = 0 into a term dict."""
-    for j, c in p.terms.items():
-        _acc(out, (0, a - b, j), c)
-
-
-def _midword(a: int, p: PolyH, b: int, out: dict):
-    """Reduce the general word int^a p(H) d^b to canonical terms.
-
-    Uses int^m d^m = 1 - e[0,0] - ... - e[m-1,m-1] with m = min(a, b); the
-    surviving pure side carries the shifted polynomial.
-    """
-    if p.is_zero():
-        return
-    m = min(a, b)
-    if m == 0:
-        _emit_word(a, p, b, out)
-        return
-    # int^a p(H) d^b = p(H-a) int^a d^b
-    _emit_word(a - m, p.shift(-m), b - m, out)
-    for t in range(m):
-        _acc(out, MatUnit(t + a - m, t + b - m), -p(t + 1 - m))
-
-
-def _mono_reduce(m1, m2, out: dict):
-    """Accumulate m1 * m2 in canonical form into `out` (no memo)."""
-    (tag1, k1, j1), (tag2, k2, j2) = m1, m2
-    if not (tag1 or tag2):
-        a1, p1, b1 = _word(k1, j1)
-        a2, p2, b2 = _word(k2, j2)
-        if b1 >= a2:
-            d = b1 - a2
-            _midword(a1, p1 * p2.shift(d), d + b2, out)
-        else:
-            u = a2 - b1
-            _midword(a1 + u, p1.shift(u) * p2, b2, out)
-    elif not tag1:
-        # word * e[s,t] with (s, t) = (k2, j2)
-        a, p, b = _word(k1, j1)
-        if k2 >= b:
-            _acc(out, MatUnit(k2 - b + a, j2), p(k2 - b + 1))
-    elif not tag2:
-        # e[s,t] * word with (s, t) = (k1, j1)
-        a, p, b = _word(k2, j2)
-        if j1 >= a:
-            _acc(out, MatUnit(k1, j1 - a + b), p(j1 - a + 1))
-    elif j1 == k2:
-        _acc(out, MatUnit(k1, j2), Fraction(1))
-
-
-# Products of monomial pairs repeat heavily inside element products, so they
-# are memoised.  The memo holds at most _MONO_PRODUCTS_BOUND entries and is
-# emptied when full; monomials it holds are interned in _MONOS (emptied with
-# it) and integral coefficients are stored as int, to keep entries small.
-# With exponents up to 3 a full memo stays under 2 MB.
-_MONO_PRODUCTS_BOUND = 1 << 11
-_MONO_PRODUCTS: dict = {}
+# Every monomial a product emits is interned here, so that results share one
+# tuple per distinct basis monomial.
 _MONOS: dict = {}
 
 
-def _mono_product(m1, m2) -> tuple:
-    """m1 * m2 in canonical form as a tuple of (monomial, coefficient) pairs."""
-    prod = _MONO_PRODUCTS.get((m1, m2))
-    if prod is None:
-        out = {}
-        _mono_reduce(m1, m2, out)
-        if len(_MONO_PRODUCTS) >= _MONO_PRODUCTS_BOUND:
-            _MONO_PRODUCTS.clear()
-            _MONOS.clear()
-        intern = _MONOS.setdefault
-        prod = tuple(
-            (intern(m, m), c.numerator if c.denominator == 1 else c)
-            for m, c in out.items()
-        )
-        _MONO_PRODUCTS[intern(m1, m1), intern(m2, m2)] = prod
-    return prod
+def _emit(out: dict, key: tuple, c):
+    """out[key] += c, keeping no zero coefficients; a new key is interned."""
+    v = out.get(key)
+    if v is None:
+        out[_MONOS.setdefault(key, key)] = c
+    elif v := v + c:
+        out[key] = v
+    else:
+        del out[key]
 
 
 def _mono_mul_into(m1, m2, out: dict, scale: Fraction | int):
-    """Accumulate scale * (m1 * m2) in canonical form into `out`."""
-    get = out.get
-    for mon, c in _mono_product(m1, m2):
-        c = scale if c == 1 else scale * c  # most coefficients are 1
-        v = get(mon)
-        v = c if v is None else v + c
-        if v:
-            out[mon] = v
-        else:
-            out.pop(mon, None)
+    """Accumulate scale * (m1 * m2) in canonical form into `out`.
+
+    For two words int^a H^j d^b (a*b = 0), d^b1 int^a2 cancels to int^x or
+    d^y, and each H^j moving through it is shifted, so the product is
+    int^A (H+x)^j1 (H+y)^j2 d^B.  Then int^m d^m = 1 - e[0,0] - ... -
+    e[m-1,m-1] with m = min(A, B) leaves the word of degree k1 + k2 times
+    p(H) = (H+x-m)^j1 (H+y-m)^j2, and e[t+A-m, t+B-m] times -p(t+1) for
+    t < m.  A word against e[s,t] is one power of the index H meets.
+    """
+    (tag1, k1, j1), (tag2, k2, j2) = m1, m2
+    if not (tag1 or tag2):
+        z = max(k2, 0) + min(k1, 0)  # a2 - b1
+        x, y = max(z, 0), max(-z, 0)
+        a, b = max(k1, 0) + x, y - min(k2, 0)  # A and B
+        m = min(a, b)
+        u, v = x - m, y - m
+        if not (u or v):
+            _emit(out, (0, k1 + k2, j1 + j2), scale)
+            return
+        p = [0] * (j1 + j2 + 1)
+        row = _binomial_row(v, j2)
+        for i, c in enumerate(_binomial_row(u, j1)):
+            if c:
+                for i2, c2 in enumerate(row, i):
+                    p[i2] += c * c2
+        for i, c in enumerate(p):
+            if c:
+                _emit(out, (0, k1 + k2, i), scale * c)
+        for t in range(m):
+            c = (t + 1 + u) ** j1 * (t + 1 + v) ** j2
+            if c:
+                _emit(out, (1, t + a - m, t + b - m), -scale * c)
+    elif not tag1:
+        # d^b e[s,t] = e[s-b,t] when s >= b, and H meets the row index
+        s = k2 + min(k1, 0)
+        if s >= 0:
+            _emit(out, (1, k1 + k2, j2), scale * (s + 1) ** j1)
+    elif not tag2:
+        # e[s,t] int^a = e[s,t-a] when t >= a, and H meets the column index
+        t = j1 - max(k2, 0)
+        if t >= 0:
+            _emit(out, (1, k1, j1 - k2), scale * (t + 1) ** j2)
+    elif j1 == k2:
+        _emit(out, (1, k1, j2), scale)
 
 
 def mono_mul(m1, m2) -> "I1Element":
     out = {}
-    _mono_mul_into(m1, m2, out, Fraction(1))
+    _mono_mul_into(m1, m2, out, 1)
     return I1Element(out)
 
 
@@ -322,10 +297,13 @@ def quotient_terms(m) -> tuple:
     tag, k, j = m
     if tag:
         return ()
-    if k <= 0:
-        return ((-k, j, 1),)
-    # int^k H^j = D^-k H^j, commuted by the skew rule
-    return tuple((B1Element.monomial(-k, 0) * B1Element.monomial(0, j)).monomials())
+    # H^j d^-k is H^j D^-k, and int^k H^j is D^-k H^j
+    return ((-k, j, 1),) if k <= 0 else skew_terms(-k, j)
+
+
+def skew_terms(d: int, j: int) -> tuple:
+    """D^d H^j = (H+d)^j D^d as (D-power, H-degree, coefficient) triples."""
+    return tuple((d, i, c) for i, c in enumerate(_binomial_row(d, j)) if c)
 
 
 def project_B1(a: I1Element):

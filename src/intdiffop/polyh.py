@@ -1,10 +1,11 @@
 """Exact univariate polynomials and rational functions in H over the rationals.
 
-Polynomials store `fractions.Fraction` coefficients sparsely by degree; there
-is no floating point anywhere in the engine, and the shift automorphism tau
-(H -> H+1) is a first-class operation.  The gcd clears denominators and runs
-in Python ints, and so do the cofactors p/g and q/g: each is an exact
-quotient of primitive integer lists, turned back into Fractions once.
+Polynomials store exact rational coefficients (`int` or `fractions.Fraction`)
+sparsely by degree; there is no floating point anywhere in the engine, and
+the shift automorphism tau (H -> H+1) is a first-class operation.  The gcd
+clears denominators and runs in Python ints, and so do the cofactors p/g and
+q/g: each is an exact quotient of primitive integer lists, turned back into
+Fractions once.
 Rational functions stay reduced by cancelling crosswise in products and by
 Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
 so only small gcds are ever taken.
@@ -167,9 +168,10 @@ class PolyH(Sparse):
         return max(self.terms) if self.terms else None
 
     def leading_coeff(self) -> Fraction:
+        """The top coefficient as a Fraction, so that 1 / lc stays exact."""
         if not self.terms:
             return Fraction(0)
-        return self.terms[max(self.terms)]
+        return Fraction(self.terms[max(self.terms)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,14 +197,11 @@ class PolyH(Sparse):
                 _acc(out, m, v * (comb(d, m) * k ** (d - m)))
         return self._new(out)
 
-    def __call__(self, v) -> Fraction:
+    def __call__(self, v):
         """Exact Horner evaluation at a rational point."""
-        if not self.terms:
-            return Fraction(0)
-        top = max(self.terms)
-        acc = Fraction(0)
-        for d in range(top, -1, -1):
-            acc = acc * v + self.terms.get(d, Fraction(0))
+        acc = 0
+        for d in range(max(self.terms, default=0), -1, -1):
+            acc = acc * v + self.terms.get(d, 0)
         return acc
 
     def _polynomial(self, other) -> "PolyH":
@@ -223,7 +222,7 @@ class PolyH(Sparse):
         r = dict(self.terms)
         tail = dict(other.terms)
         db = max(tail)
-        lc = tail.pop(db)
+        lc = Fraction(tail.pop(db))
         q = {}
         for d in range(max(r, default=db - 1), db - 1, -1):
             c = r.pop(d, None)

@@ -3,27 +3,38 @@
 Polynomials in H and in x, elements of the one- and n-variable algebras and
 skew Laurent polynomials are all finite sums: a map from basis keys to
 nonzero coefficients.  `Sparse` holds that map in `terms` and is the only
-owner of its invariant: every coefficient passes the one `_coerce` hook
-(`Fraction` by default), no zero coefficient is stored, and equal keys add
-up.  It holds the only constructor loop, scalar embedding, `coeffs` copy and
-scalar `__rmul__`, and the only linear operations, equality, hashing and
-powers.  A subclass supplies the key of 1 (`_unit_key`), optionally its own
-`_coerce`, and, where it has one, its product rule; a subclass whose elements
-carry context, such as a factor count, also supplies `_new`, `_check` and
-`_context`, and sets that context before calling `Sparse.__init__`.
+owner of its invariant: every coefficient passes the one `_coerce` hook (by
+default an exact rational: an `int` when integral, else a `Fraction`), no
+zero coefficient is stored, and equal keys add up.  An `int` and an equal
+`Fraction` compare, hash and print alike, so the two may mix.  It holds the
+only constructor loop, scalar embedding, `coeffs` copy and scalar
+`__rmul__`, and the only linear operations, equality, hashing and powers,
+which refuse a product beyond MAX_POWER_PAIRS.  A subclass supplies the key
+of 1 (`_unit_key`), optionally its own `_coerce`, and, where it has one, its
+product rule; a subclass whose elements carry context, such as a factor
+count, also supplies `_new`, `_check` and `_context`, and sets that context
+before calling `Sparse.__init__`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import LimitExceeded
 
-def _rat(v) -> Fraction:
-    """v as a Fraction; only int and Fraction are exact, so a float is refused."""
+# `**` refuses, with LimitExceeded, any product that pairs more terms than
+# this.  The powers of the test suite and the benchmark pair at most 2,401;
+# the fifth squaring of d1 + int1 + H1 would pair 160,801.
+MAX_POWER_PAIRS = 1 << 15
+
+
+def _rat(v) -> int | Fraction:
+    """v as an int when integral, else as a Fraction; only int and Fraction
+    are exact, so a float is refused."""
     if isinstance(v, Fraction):
-        return v
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"coefficient must be an int or a Fraction, not {type(v).__name__}")
 
 
@@ -169,8 +180,16 @@ class Sparse:
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = _bounded_product(result, base)
             k >>= 1
             if k:
-                base = base * base
+                base = _bounded_product(base, base)
         return result
+
+
+def _bounded_product(a: Sparse, b: Sparse) -> Sparse:
+    """a * b, refused before it starts beyond MAX_POWER_PAIRS term pairs."""
+    if (pairs := len(a.terms) * len(b.terms)) > MAX_POWER_PAIRS:
+        raise LimitExceeded(
+            f"a power needs a product of {pairs} term pairs, beyond the limit {MAX_POWER_PAIRS}")
+    return a * b

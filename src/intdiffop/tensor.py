@@ -26,8 +26,8 @@ from .i1 import (
     mono_degree,
     mono_involution,
     quotient_terms,
+    skew_terms,
 )
-from .laurent import B1Element
 from .sparse import Sparse, _acc
 
 MODE_FULL = "I"
@@ -40,10 +40,11 @@ def _b1_monos(triples) -> dict:
 
 
 def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
-    """Accumulate m1 * m2 into `out`, multiplied as `B1Element`s."""
-    p = B1Element.monomial(*m1) * B1Element.monomial(*m2)
-    for d, j, c in p.monomials():
-        _acc(out, (d, j), c)
+    """Accumulate m1 * m2 into `out`: H^j1 D^d1 * H^j2 D^d2 is H^j1 times
+    D^d1 H^j2 = (H+d1)^j2 D^d1, times D^d2."""
+    (d1, j1), (d2, j2) = m1, m2
+    for d, j, c in skew_terms(d1, j2):
+        _acc(out, (d + d2, j + j1), c)
 
 
 def _expand_into(out: dict, factor_maps, c):
@@ -72,7 +73,6 @@ def _factor_mul(m1, m2, mode) -> dict:
     if mode == MODE_QUOT:
         _b1_mul_into(m1, m2, out)
     else:
-        # an int scale keeps the memo's int coefficients: no Fraction product
         _mono_mul_into(m1, m2, out, 1)
     return out
 
@@ -81,8 +81,7 @@ def _factor_involution(m, mode) -> dict:
     if mode == MODE_QUOT:
         # (H^j D^d)* = D^-d H^j
         d, j = m
-        b = B1Element.monomial(-d, 0) * B1Element.monomial(0, j)
-        return _b1_monos(b.monomials())
+        return _b1_monos(skew_terms(-d, j))
     return {mono_involution(m): 1}
 
 

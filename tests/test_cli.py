@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,22 @@ def test_exit_codes(args, expected):
 def test_index_out_of_range_reports_its_position(capsys):
     assert run(["normalize", "-n", "2", "d1 + x3"]) == 1
     assert capsys.readouterr().err == "error: index 3 outside 1..2 (at position 5)\n"
+
+
+def test_power_beyond_the_size_limit_is_refused_at_once():
+    # the fifth squaring of the three-term sum would pair 160,801 terms
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "intdiffop.cli", "normalize", "(d1+int1+H1)^10000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: a power needs a product of 160801 term pairs, beyond the limit 32768\n"
+    )
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

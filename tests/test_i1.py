@@ -25,8 +25,9 @@ from intdiffop import (
 )
 from intdiffop import i1
 from intdiffop.errors import ZeroPolynomial
-from intdiffop.i1 import _mono_mul_into, _mono_reduce, from_polyh
+from intdiffop.i1 import _mono_mul_into, from_polyh
 from intdiffop.laurent import B1Element
+from intdiffop.sparse import _acc
 from intdiffop.tensor import from_i1, project_modulo_prime
 
 from conftest import (
@@ -94,60 +95,88 @@ class TestMonoMul:
             assert INT * hj == from_polyh((HP - 1) ** j) * INT
 
 
-# every basis monomial with exponents and matrix indices up to 3
-GRID = (
-    [DiffMon(j, i) for i in range(1, 4) for j in range(4)]
-    + [HMon(j) for j in range(4)]
-    + [IntMon(i, j) for i in range(1, 4) for j in range(4)]
-    + [MatUnit(s, t) for s in range(4) for t in range(4)]
-)
+def grid(top):
+    """Every basis monomial with exponents and matrix indices up to top."""
+    return (
+        [DiffMon(j, i) for i in range(1, top + 1) for j in range(top + 1)]
+        + [HMon(j) for j in range(top + 1)]
+        + [IntMon(i, j) for i in range(1, top + 1) for j in range(top + 1)]
+        + [MatUnit(s, t) for s in range(top + 1) for t in range(top + 1)]
+    )
 
 
-def _reduced(m1, m2, scale):
-    plain = {}
-    _mono_reduce(m1, m2, plain)
-    return {m: scale * c for m, c in plain.items()}
+# The reduction through PolyH that the closed form replaced, kept as the
+# reference: a word (0, k, j) is int^a * H^j * d^b with a*b = 0.
+
+def _word(k, j):
+    return max(k, 0), PolyH.monomial(j), max(-k, 0)
 
 
-class TestMonoProductMemo:
-    def test_memo_matches_reduction_and_action(self):
-        i1._MONO_PRODUCTS.clear()
+def _midword(a, p, b, out):
+    """int^a p(H) d^b into canonical terms, by int^m d^m = 1 - e[0,0] - ...
+    - e[m-1,m-1] with m = min(a, b) and int^m p(H) = p(H-m) int^m."""
+    m = min(a, b)
+    for j, c in p.shift(-m).terms.items():
+        _acc(out, (0, a - b, j), c)
+    for t in range(m):
+        _acc(out, MatUnit(t + a - m, t + b - m), -p(t + 1 - m))
+
+
+def reference_product(m1, m2) -> dict:
+    out = {}
+    (tag1, k1, j1), (tag2, k2, j2) = m1, m2
+    if not (tag1 or tag2):
+        a1, p1, b1 = _word(k1, j1)
+        a2, p2, b2 = _word(k2, j2)
+        if b1 >= a2:
+            _midword(a1, p1 * p2.shift(b1 - a2), b1 - a2 + b2, out)
+        else:
+            _midword(a2 - b1 + a1, p1.shift(a2 - b1) * p2, b2, out)
+    elif not tag1:
+        a, p, b = _word(k1, j1)
+        if k2 >= b:
+            _acc(out, MatUnit(k2 - b + a, j2), p(k2 - b + 1))
+    elif not tag2:
+        a, p, b = _word(k2, j2)
+        if j1 >= a:
+            _acc(out, MatUnit(k1, j1 - a + b), p(j1 - a + 1))
+    elif j1 == k2:
+        _acc(out, MatUnit(k1, j2), 1)
+    return out
+
+
+class TestMonoProduct:
+    def test_matches_the_polyh_reduction(self):
         scale = Fraction(-3, 2)
-        for m1 in GRID:
-            for m2 in GRID:
-                expected = _reduced(m1, m2, scale)
-                for _ in range(2):  # a miss that fills the memo, then a hit
-                    out = {}
-                    _mono_mul_into(m1, m2, out, scale)
-                    assert out == expected, (m1, m2)
+        for m1 in grid(4):
+            for m2 in grid(4):
+                want = reference_product(m1, m2)
+                out = {}
+                _mono_mul_into(m1, m2, out, 1)
+                assert out == want, (m1, m2)
+                assert all(type(c) is int for c in out.values())
+                out = {}
+                _mono_mul_into(m1, m2, out, scale)
+                assert out == {m: scale * c for m, c in want.items()}, (m1, m2)
                 # accumulation cancels exactly, leaving no zero terms
                 _mono_mul_into(m1, m2, out, -scale)
                 assert out == {}
-                prod = I1Element(expected).scale(1 / scale)
-                a, b = I1Element.from_mono(m1), I1Element.from_mono(m2)
-                n = faithful_bound(prod) + faithful_bound(a) + faithful_bound(b)
-                for s in range(n + 1):
-                    xs = PolyX.monomial(s)
-                    assert apply(prod, xs) == apply(a, apply(b, xs)), (m1, m2, s)
 
-    def test_memo_stays_within_its_bound(self):
-        bound = i1._MONO_PRODUCTS_BOUND
-        units = [MatUnit(s, t) for s in range(8) for t in range(8)]
-        assert len(units) ** 2 > bound
-        i1._MONO_PRODUCTS.clear()
-        cleared = False
-        for m1 in units:
-            for m2 in units:
-                before = len(i1._MONO_PRODUCTS)
-                _mono_mul_into(m1, m2, {}, Fraction(1))
-                assert len(i1._MONO_PRODUCTS) <= bound
-                cleared |= len(i1._MONO_PRODUCTS) < before
-        assert cleared
-        for m1 in GRID + units[-20:]:
-            for m2 in GRID + units[-20:]:
-                out = {}
-                _mono_mul_into(m1, m2, out, Fraction(1))
-                assert out == _reduced(m1, m2, Fraction(1)), (m1, m2)
+    def test_matches_the_action(self):
+        for m1 in grid(3):
+            for m2 in grid(3):
+                a, b = I1Element.from_mono(m1), I1Element.from_mono(m2)
+                assert matrix_oracle_agrees([a, b], mono_mul(m1, m2)), (m1, m2)
+
+    def test_equal_monomials_are_one_object(self):
+        # interning keeps one tuple per distinct monomial across results
+        rng = random.Random(24)
+        for _ in range(50):
+            a, b = rand_i1(rng), rand_i1(rng)
+            ab, ba = (a * b).terms, (b * a).terms
+            keys = {m: m for m in ba}
+            assert all(keys[m] is m for m in ab if m in keys)
+            assert all(i1._MONOS[m] is m for m in (*ab, *ba))
 
 
 class TestRingOps:

@@ -429,7 +429,7 @@ class TestCofactors:
             assert [x.terms for x in got] == [x.terms for x in want]
             g, u, v = got
             assert g * u == p and g * v == q and g.leading_coeff() == 1
-            assert all(type(c) is Fraction for x in got for c in x.terms.values())
+            assert all(type(c) in (int, Fraction) for x in got for c in x.terms.values())
             nontrivial += g.degree() > 0
         assert nontrivial >= 100
 

@@ -17,6 +17,8 @@ from intdiffop import (
     parse_operator,
     parse_poly,
 )
+from intdiffop import sparse
+from intdiffop.errors import LimitExceeded
 from intdiffop.laurent import CalB1Element
 
 D, INT, H, X = generators()
@@ -57,3 +59,16 @@ def test_power_makes_popcount_plus_bit_length_minus_one_products(name, monkeypat
         calls.clear()
         x**k
         assert len(calls) == (bin(k).count("1") + k.bit_length() - 1 if k else 0), k
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_power_refuses_a_product_beyond_the_pair_limit(name, monkeypatch):
+    x, _ = BASES[name]
+    t, t2 = len(x.terms), len((x * x).terms)
+    assert t2 > t
+    # x**2 pairs t by t terms, and x**3 then pairs t by t2 > t
+    monkeypatch.setattr(sparse, "MAX_POWER_PAIRS", t * t)
+    assert x**2 == x * x
+    want = f"product of {t * t2} term pairs, beyond the limit {t * t}"
+    with pytest.raises(LimitExceeded, match=want):
+        x**3

@@ -2,6 +2,7 @@
 constructor that coerces coefficients, drops zeros and adds up equal keys,
 and a `coeffs` that is a copy."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from intdiffop import DiffMon, HMon, I1Element, InElement, MatUnit, PolyH, PolyX, PolyXn
 from intdiffop.laurent import B1Element, CalB1Element
 from intdiffop.polyh import H, RatFunc
+from intdiffop.sparse import _rat
 
 # name -> (constructor from a term map or pairs, a term map, a key not in it)
 ELEMENTS = {
@@ -82,3 +84,22 @@ def test_float_coefficients_are_refused(case):
         make({**terms, spare: 0.1})
     with pytest.raises(TypeError, match="not float"):
         make(terms).scale(0.5)
+
+
+def test_integral_values_are_stored_as_int():
+    assert _rat(Fraction(4, 2)) == 2 and type(_rat(Fraction(4, 2))) is int
+    assert type(_rat(True)) is int and _rat(Fraction(1, 3)) == Fraction(1, 3)
+    for v in (0.5, 2.0, Decimal(2)):
+        with pytest.raises(TypeError):
+            _rat(v)
+
+
+@pytest.mark.parametrize("name", [n for n in ELEMENTS if "B1" not in n])
+def test_int_and_fraction_coefficients_agree(name):
+    # integral coefficients are stored as int; the same element over the
+    # equal Fractions compares, hashes and prints the same
+    make, terms, _ = ELEMENTS[name]
+    for x in (make(terms), make(terms)._scalar(3)):
+        assert any(type(v) is int for v in x.terms.values())
+        y = x._new({k: Fraction(v) for k, v in x.terms.items()})
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)

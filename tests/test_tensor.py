@@ -27,7 +27,10 @@ from intdiffop import (
     to_i1,
 )
 from intdiffop.errors import DimensionMismatch, EmptyFactorList, ModeMismatch
-from intdiffop.tensor import MODE_QUOT
+from intdiffop.i1 import quotient_terms
+from intdiffop.laurent import B1Element
+from intdiffop.polyh import PolyH
+from intdiffop.tensor import MODE_QUOT, _b1_monos, _b1_mul_into, _factor_involution
 
 from conftest import rand_i1, rand_in
 
@@ -199,6 +202,39 @@ class TestProjectModuloPrime:
             a = rand_in(rng, 2)
             killed = project_modulo_prime(a, {1, 2}).is_zero()
             assert killed == ideal_membership(a, amax)
+
+
+class TestQuotientMonomials:
+    """The closed forms for quotient-mode monomials (d, j) = H^j D^d against
+    the products of `B1Element`, which shift and multiply polynomials."""
+
+    GRID = [(d, j) for d in range(-3, 4) for j in range(4)]
+
+    @staticmethod
+    def product(*monos):
+        b = B1Element({0: 1})
+        for d, j in monos:
+            b = b * B1Element({d: PolyH.monomial(j)})
+        return {(d, j): c for d, p in b.terms.items() for j, c in p.terms.items()}
+
+    def test_products(self):
+        for m1 in self.GRID:
+            for m2 in self.GRID:
+                out = {}
+                _b1_mul_into(m1, m2, out)
+                assert out == self.product(m1, m2), (m1, m2)
+
+    def test_involution(self):
+        for d, j in self.GRID:
+            # (H^j D^d)* = D^-d H^j
+            assert _factor_involution((d, j), MODE_QUOT) == self.product((-d, 0), (0, j))
+
+    def test_quotient_map(self):
+        for k in range(-3, 4):
+            for j in range(4):
+                # int^k H^j = D^-k H^j for k > 0; H^j d^-k = H^j D^-k otherwise
+                want = self.product((-k, 0), (0, j)) if k > 0 else self.product((-k, j))
+                assert _b1_monos(quotient_terms((0, k, j))) == want, (k, j)
 
 
 class TestRepr:
