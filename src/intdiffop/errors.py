@@ -27,7 +27,8 @@ class EmptyFactorList(IntDiffOpError):
 
 class LimitExceeded(IntDiffOpError):
     """A request beyond one of the engine's fixed size limits: the ideal
-    enumeration limit or the term pairs of one product in a power."""
+    enumeration limit, or the term pairs of one product in a power or in
+    parsed text."""
 
 
 class _AtPosition(IntDiffOpError):

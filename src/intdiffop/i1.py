@@ -297,13 +297,10 @@ def quotient_terms(m) -> tuple:
     tag, k, j = m
     if tag:
         return ()
-    # H^j d^-k is H^j D^-k, and int^k H^j is D^-k H^j
-    return ((-k, j, 1),) if k <= 0 else skew_terms(-k, j)
-
-
-def skew_terms(d: int, j: int) -> tuple:
-    """D^d H^j = (H+d)^j D^d as (D-power, H-degree, coefficient) triples."""
-    return tuple((d, i, c) for i, c in enumerate(_binomial_row(d, j)) if c)
+    if k <= 0:
+        return ((-k, j, 1),)  # H^j d^-k is H^j D^-k
+    # int^k H^j is D^-k H^j = (H-k)^j D^-k
+    return tuple((-k, i, c) for i, c in enumerate(_binomial_row(-k, j)) if c)
 
 
 def project_B1(a: I1Element):

@@ -20,6 +20,12 @@ def _comparable(f: int, g: int) -> bool:
     return m == f or m == g
 
 
+def _minimal(sets) -> set:
+    """The bitsets among `sets` that contain no other one."""
+    sets = set(sets)
+    return {s for s in sets if not any(t != s and t & s == t for t in sets)}
+
+
 class IdealAntichain:
     """Canonical antichain of bitmasks; sorted tuple for deterministic identity."""
 
@@ -34,11 +40,9 @@ class IdealAntichain:
             if not 0 <= m < (1 << n):
                 raise ValueError(f"mask {m} outside 0..2^{n}-1")
         if not _normalized:
-            masks = {
-                f
-                for f in masks
-                if not any(g != f and f & g == f for g in masks)
-            }
+            # the maximal masks are the complements of the minimal zero sets
+            full = (1 << n) - 1
+            masks = {full ^ z for z in _minimal(full ^ m for m in masks)}
         self.masks = tuple(sorted(masks))
 
     @classmethod
@@ -127,17 +131,11 @@ def prime_ideal(n: int, index_set) -> IdealAntichain:
 
 
 def is_prime(c: IdealAntichain) -> bool:
-    """True iff c is the zero ideal or a sum of distinct height-one primes."""
-    if not c.masks:
-        return True
+    """True iff c is the zero ideal or a sum of distinct height-one primes,
+    that is, iff every generator has exactly one zero slot (distinct masks
+    have distinct zero sets)."""
     full = (1 << c.n) - 1
-    seen = set()
-    for m in c.masks:
-        missing = full & ~m
-        if missing == 0 or missing & (missing - 1):
-            return False  # not exactly one zero slot
-        seen.add(missing)
-    return len(seen) == len(c.masks)
+    return all((z := full & ~m) and not z & (z - 1) for m in c.masks)
 
 
 def prime_index_set(c: IdealAntichain):
@@ -156,20 +154,21 @@ def minimal_primes_over(c: IdealAntichain):
     """Minimal slot sets I with c contained in prime_ideal(I).
 
     c is inside prime_ideal(I) iff I hits the zero set of every generator;
-    these are the minimal hitting sets.  Their product reconstructs c.
+    these are the minimal hitting sets.  Their product reconstructs c.  They
+    are built one zero set at a time (Berge's transversal sweep), so no scan
+    over the 2^n slot sets runs; the answer itself can still be exponential
+    in n: m generators with disjoint two-slot zero sets have 2^m of them.
     """
-    n = c.n
-    full = (1 << n) - 1
-    zero_sets = [full & ~m for m in c.masks]
-    hitting = []
-    for sub in range(1 << n):
-        if all(sub & z for z in zero_sets):
-            hitting.append(sub)
-    minimal = [
-        s for s in hitting if not any(t != s and t & s == t for t in hitting)
-    ]
+    full = (1 << c.n) - 1
+    hitting = {0}
+    for m in c.masks:
+        z = full & ~m
+        bits = [1 << i for i in range(c.n) if (z >> i) & 1]
+        hitting = _minimal(
+            h2 for h in hitting for h2 in ([h] if h & z else [h | b for b in bits])
+        )
     return {
-        frozenset(i + 1 for i in range(n) if (s >> i) & 1) for s in minimal
+        frozenset(i + 1 for i in range(c.n) if (s >> i) & 1) for s in hitting
     }
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import IndexOutOfRange, NegativeExponent, OperatorSyntaxError
 from .polyh import join_terms, poly_terms, power_text, term_text
+from .sparse import _bounded_product
 from .tensor import (
     InElement,
     MODE_FULL,
@@ -200,7 +201,8 @@ class _Parser:
 
 def _evaluate(node, one, leaf):
     """The value of a parsed tree: a number v is one.scale(v), a generator
-    is leaf(node), and sums, products and powers are taken in one's ring."""
+    is leaf(node), and sums, products and powers are taken in one's ring;
+    products and powers beyond MAX_POWER_PAIRS term pairs are refused."""
     if isinstance(node, Num):
         return one.scale(node.value)
     if isinstance(node, Gen):
@@ -212,7 +214,7 @@ def _evaluate(node, one, leaf):
     if isinstance(node, Mul):
         acc = one
         for f in node.factors:
-            acc = acc * _evaluate(f, one, leaf)
+            acc = _bounded_product(acc, _evaluate(f, one, leaf))
         return acc
     acc = one.scale(0)
     for sign, part in node.parts:

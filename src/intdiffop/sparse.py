@@ -22,9 +22,10 @@ from fractions import Fraction
 
 from .errors import LimitExceeded
 
-# `**` refuses, with LimitExceeded, any product that pairs more terms than
-# this.  The powers of the test suite and the benchmark pair at most 2,401;
-# the fifth squaring of d1 + int1 + H1 would pair 160,801.
+# `**` and the products of parsed text refuse, with LimitExceeded, any product
+# that pairs more terms than this.  The powers of the test suite and the
+# benchmark pair at most 2,401; the fifth squaring of d1 + int1 + H1 would
+# pair 160,801.
 MAX_POWER_PAIRS = 1 << 15
 
 
@@ -191,5 +192,5 @@ def _bounded_product(a: Sparse, b: Sparse) -> Sparse:
     """a * b, refused before it starts beyond MAX_POWER_PAIRS term pairs."""
     if (pairs := len(a.terms) * len(b.terms)) > MAX_POWER_PAIRS:
         raise LimitExceeded(
-            f"a power needs a product of {pairs} term pairs, beyond the limit {MAX_POWER_PAIRS}")
+            f"a product of {pairs} term pairs, beyond the limit {MAX_POWER_PAIRS}")
     return a * b

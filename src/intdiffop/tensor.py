@@ -1,12 +1,14 @@
 """Tensor arithmetic over n factors, including mixed quotient algebras.
 
-An element is a sparse rational combination of n-tuples of factor monomials.
-Each factor is either in full mode (basis monomials of the one-variable
-algebra) or in quotient mode (the monomials H^j D^d, as pairs (d, j), of the
-skew Laurent algebra `B1Element`, whose rule D^k p(H) = p(H+k) D^k they
-multiply by).
-Quotients by sums of the height-one primes are realized by flipping factors
-into quotient mode.
+An element is a sparse rational combination of n-tuples of basis monomials of
+the one-variable algebra.  Each factor is either in full mode or in quotient
+mode.  A quotient-mode factor lives in B1 = I1/F, where F is the ideal spanned
+by the matrix units, so the words of I1 (int^k H^j, H^j and H^j d^k) are a
+basis of it and its product is the I1 product with the matrix units dropped.
+It prints on the monomials H^j D^d of the skew Laurent algebra `B1Element`
+(d -> D, int -> D^-1).  The involution and the grading of I1 keep F, so they
+act on both modes key by key.  Quotients by sums of the height-one primes are
+realized by flipping factors into quotient mode.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .i1 import (
     mono_degree,
     mono_involution,
     quotient_terms,
-    skew_terms,
 )
 from .sparse import Sparse, _acc
 
@@ -34,17 +35,13 @@ MODE_FULL = "I"
 MODE_QUOT = "B"
 
 
-def _b1_monos(triples) -> dict:
-    """{(d, j): c} from (d, j, c) triples with distinct (d, j)."""
-    return {(d, j): c for d, j, c in triples}
-
-
 def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
-    """Accumulate m1 * m2 into `out`: H^j1 D^d1 * H^j2 D^d2 is H^j1 times
-    D^d1 H^j2 = (H+d1)^j2 D^d1, times D^d2."""
-    (d1, j1), (d2, j2) = m1, m2
-    for d, j, c in skew_terms(d1, j2):
-        _acc(out, (d + d2, j + j1), c)
+    """Accumulate m1 * m2 in B1 into `out`, which holds no matrix units: the
+    I1 product of two words with its matrix-unit terms, which lie in F,
+    dropped."""
+    _mono_mul_into(m1, m2, out, 1)
+    for m in [m for m in out if m[0]]:
+        del out[m]
 
 
 def _expand_into(out: dict, factor_maps, c):
@@ -63,11 +60,6 @@ def _expand_into(out: dict, factor_maps, c):
         _acc(out, tup, v)
 
 
-def _unit(modes) -> tuple:
-    """The basis tuple of the identity element."""
-    return tuple((0, 0) if m == MODE_QUOT else _UNIT for m in modes)
-
-
 def _factor_mul(m1, m2, mode) -> dict:
     out = {}
     if mode == MODE_QUOT:
@@ -75,25 +67,6 @@ def _factor_mul(m1, m2, mode) -> dict:
     else:
         _mono_mul_into(m1, m2, out, 1)
     return out
-
-
-def _factor_involution(m, mode) -> dict:
-    if mode == MODE_QUOT:
-        # (H^j D^d)* = D^-d H^j
-        d, j = m
-        return _b1_monos(skew_terms(-d, j))
-    return {mono_involution(m): 1}
-
-
-def _factor_projection(m, flip: bool) -> dict:
-    return _b1_monos(quotient_terms(m)) if flip else {m: 1}
-
-
-def _factor_degree(m, mode) -> int:
-    if mode == MODE_QUOT:
-        # D has grading degree -1 (the integration D^-1 has degree +1)
-        return -m[0]
-    return mono_degree(m)
 
 
 class InElement(Sparse):
@@ -116,15 +89,14 @@ class InElement(Sparse):
 
     @classmethod
     def one(cls, n: int, modes=None) -> "InElement":
-        modes = tuple(modes) if modes is not None else (MODE_FULL,) * n
-        return cls(n, {_unit(modes): 1}, modes)
+        return cls(n, {(_UNIT,) * n: 1}, modes)
 
     @classmethod
     def from_scalar(cls, n: int, v, modes=None) -> "InElement":
         return cls.one(n, modes).scale(v)
 
     def _unit_key(self):
-        return _unit(self.modes)
+        return (_UNIT,) * self.n
 
     def _new(self, terms: dict) -> "InElement":
         r = object.__new__(InElement)
@@ -155,23 +127,26 @@ class InElement(Sparse):
     __pow__ = Sparse.__pow__
 
     def involution(self) -> "InElement":
-        out = {}
-        for tup, v in self.terms.items():
-            _expand_into(out, map(_factor_involution, tup, self.modes), v)
-        return self._new(out)
+        return self._new({tuple(map(mono_involution, tup)): v for tup, v in self.terms.items()})
 
     def grade_component(self, d: int) -> "InElement":
-        out = {
-            tup: v
-            for tup, v in self.terms.items()
-            if sum(_factor_degree(m, mo) for m, mo in zip(tup, self.modes)) == d
-        }
-        return self._new(out)
+        return self._new({
+            tup: v for tup, v in self.terms.items() if sum(map(mono_degree, tup)) == d
+        })
 
     def sorted_terms(self):
-        """The terms in printed order; keys are distinct, so no coefficients
+        """The terms in printed order, with each quotient-mode factor written
+        on the pairs (d, j) = H^j D^d; keys are distinct, so no coefficients
         are compared."""
-        return sorted(self.terms.items())
+        if MODE_QUOT not in self.modes:
+            return sorted(self.terms.items())
+        out = {}
+        for tup, v in self.terms.items():
+            _expand_into(out, (
+                {(d, j): c for d, j, c in quotient_terms(m)} if mode == MODE_QUOT else {m: 1}
+                for m, mode in zip(tup, self.modes)
+            ), v)
+        return sorted(out.items())
 
     def __repr__(self):
         from .opparser import format_operator
@@ -291,18 +266,16 @@ def apply_n(a: InElement, p: PolyXn) -> PolyXn:
 def project_modulo_prime(a: InElement, index_set) -> InElement:
     """Quotient by the sum of the height-one primes at the given factors.
 
-    Matrix-unit terms in those factors die; surviving monomials switch to
-    quotient mode.  Multiplicative: project(ab) = project(a) * project(b).
+    Terms with a matrix unit in one of those factors lie in the kernel and
+    die; the others keep their keys, and the factors switch to quotient mode.
+    Multiplicative: project(ab) = project(a) * project(b).
     """
     idx = {i - 1 for i in index_set}
     for i in idx:
         if not 0 <= i < a.n:
             raise DimensionMismatch(f"factor index {i + 1} outside 1..{a.n}")
-    flips = [k in idx and m == MODE_FULL for k, m in enumerate(a.modes)]
-    modes = tuple(MODE_QUOT if f else m for f, m in zip(flips, a.modes))
-    out = {}
-    for tup, v in a.terms.items():
-        _expand_into(out, map(_factor_projection, tup, flips), v)
+    modes = tuple(MODE_QUOT if k in idx else m for k, m in enumerate(a.modes))
+    out = {tup: v for tup, v in a.terms.items() if not any(tup[k][0] for k in idx)}
     return InElement(a.n, out, modes)
 
 

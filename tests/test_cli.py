@@ -98,8 +98,25 @@ def test_power_beyond_the_size_limit_is_refused_at_once():
     assert time.perf_counter() - start < 1
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (
-        "error: a power needs a product of 160801 term pairs, beyond the limit 32768\n"
+        "error: a product of 160801 term pairs, beyond the limit 32768\n"
     )
+
+
+def test_chain_of_products_beyond_the_size_limit_is_refused(capsys):
+    # six copies of the nine-term sum have 4,314 terms; the seventh pairs 38,826
+    s = "(d1+int1+H1+d2+int2+H2+d3+int3+H3)"
+    assert run(["normalize", "-n", "3", "*".join([s] * 8)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a product of 38826 term pairs, beyond the limit 32768\n"
+
+
+def test_minimal_primes_over_many_slots(capsys):
+    # the zero set of the one generator is every slot: 64 singletons
+    start = time.perf_counter()
+    assert run(["ideal", "minprimes", "-n", "64", "{" + "0" * 64 + "}"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "".join(f"{{{i}}}\n" for i in range(1, 65))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -300,16 +300,17 @@ class TestProjectB1:
             assert project_B1(a).is_zero() == a.is_in_F()
 
     def test_agrees_with_quotient_mode(self):
+        # quotient-mode words print on the pairs (d, j) = H^j D^d; projections
+        # and their products agree with the skew Laurent arithmetic
+        def pairs(b):
+            return sorted((((d, j),), c) for d, p in b.terms.items() for j, c in p.terms.items())
+
         rng = random.Random(30)
         for _ in range(100):
-            a = rand_i1(rng)
-            image = project_modulo_prime(from_i1(a), {1}).terms
-            want = {
-                ((d, j),): c
-                for d, p in project_B1(a).coeffs.items()
-                for j, c in p.coeffs.items()
-            }
-            assert image == want
+            a, b = rand_i1(rng), rand_i1(rng)
+            pa, pb = (project_modulo_prime(from_i1(x), {1}) for x in (a, b))
+            assert pa.sorted_terms() == pairs(project_B1(a))
+            assert (pa * pb).sorted_terms() == pairs(project_B1(a) * project_B1(b))
 
 
 class TestApply:

@@ -126,7 +126,30 @@ class TestPrimes:
                 assert prime_index_set(p) == frozenset(idx)
 
 
+def scan_minimal_primes(c: IdealAntichain):
+    """The minimal hitting sets of the zero sets, by a scan over all 2^n slot
+    sets (independent reference for small n)."""
+    full = (1 << c.n) - 1
+    zero_sets = [full & ~m for m in c.masks]
+    hitting = [s for s in range(1 << c.n) if all(s & z for z in zero_sets)]
+    minimal = [s for s in hitting if not any(t != s and t & s == t for t in hitting)]
+    return {frozenset(i + 1 for i in range(c.n) if (s >> i) & 1) for s in minimal}
+
+
 class TestMinimalPrimes:
+    def test_agrees_with_the_scan(self):
+        for n in range(1, 6):
+            for c in enumerate_ideals(n):
+                assert minimal_primes_over(c) == scan_minimal_primes(c)
+
+    def test_answer_can_be_exponential(self):
+        # 8 generators with disjoint two-slot zero sets: one slot from each
+        full = (1 << 16) - 1
+        c = IdealAntichain(16, [full ^ (0b11 << 2 * k) for k in range(8)])
+        mins = minimal_primes_over(c)
+        assert len(mins) == 2**8
+        assert all(len(idx) == 8 for idx in mins)
+
     def test_minimum_ideal(self):
         assert minimal_primes_over(minimum_nonzero_ideal(2)) == {
             frozenset([1]),
@@ -231,3 +254,24 @@ class TestText:
     def test_bad_bitstring(self):
         with pytest.raises(ValueError):
             IdealAntichain.from_text("{012}", 3)
+
+    def test_text_needs_braces(self):
+        for text in ("01", "{01", "01}"):
+            with pytest.raises(ValueError):
+                IdealAntichain.from_text(text, 2)
+
+
+class TestRefusals:
+    def test_no_slots(self):
+        with pytest.raises(ValueError):
+            IdealAntichain(0)
+
+    def test_mask_outside_the_slots(self):
+        for m in (-1, 4):
+            with pytest.raises(ValueError):
+                IdealAntichain(2, [m])
+
+    def test_prime_index_outside_the_slots(self):
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                prime_ideal(2, [i])

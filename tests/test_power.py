@@ -72,3 +72,13 @@ def test_power_refuses_a_product_beyond_the_pair_limit(name, monkeypatch):
     want = f"product of {t * t2} term pairs, beyond the limit {t * t}"
     with pytest.raises(LimitExceeded, match=want):
         x**3
+
+
+def test_products_in_parsed_text_share_the_pair_limit(monkeypatch):
+    s = "(d1 + int1 + H1)"
+    t2 = len(parse_operator(f"{s}^2").terms)
+    # the chain pairs 1 by 3, 3 by 3, then t2 by 3 terms
+    monkeypatch.setattr(sparse, "MAX_POWER_PAIRS", 9)
+    assert parse_operator(f"{s}*{s}") == parse_operator(f"{s}^2")
+    with pytest.raises(LimitExceeded, match=f"product of {3 * t2} term pairs, beyond the limit 9"):
+        parse_operator(f"{s}*{s}*{s}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from intdiffop import DiffMon, HMon, I1Element, InElement, MatUnit, PolyH, PolyX, PolyXn
+from intdiffop import DiffMon, HMon, I1Element, InElement, IntMon, MatUnit, PolyH, PolyX, PolyXn
 from intdiffop.laurent import B1Element, CalB1Element
 from intdiffop.polyh import H, RatFunc
 from intdiffop.sparse import _rat
@@ -25,8 +25,8 @@ ELEMENTS = {
     ),
     "InElement-quotient": (
         lambda t: InElement(2, t, ("I", "B")),
-        {(HMon(0), (1, 2)): 3, (MatUnit(1, 0), (-1, 0)): -1},
-        (HMon(5), (5, 5)),
+        {(HMon(0), DiffMon(2, 1)): 3, (MatUnit(1, 0), IntMon(1, 0)): -1},
+        (HMon(5), DiffMon(5, 5)),
     ),
     "B1Element": (B1Element, {1: 2, -1: H}, 5),
     "CalB1Element": (CalB1Element, {1: RatFunc(1, H), 0: H + 1}, 5),

@@ -1,5 +1,6 @@
 """Tensor arithmetic over n factors, mixed-mode quotients, ideal membership."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,10 +28,9 @@ from intdiffop import (
     to_i1,
 )
 from intdiffop.errors import DimensionMismatch, EmptyFactorList, ModeMismatch
-from intdiffop.i1 import quotient_terms
 from intdiffop.laurent import B1Element
 from intdiffop.polyh import PolyH
-from intdiffop.tensor import MODE_QUOT, _b1_monos, _b1_mul_into, _factor_involution
+from intdiffop.tensor import MODE_QUOT
 
 from conftest import rand_i1, rand_in
 
@@ -170,7 +170,9 @@ class TestProjectModuloPrime:
         a = tensor([INT1, D1])
         img = project_modulo_prime(a, {1})
         assert img.modes == (MODE_QUOT, "I")
-        assert img.terms == {((-1, 0), DiffMon(0, 1)): Fraction(1)}
+        # the word keeps its key and prints on D1^-1
+        assert img.terms == {(IntMon(1, 0), DiffMon(0, 1)): 1}
+        assert img.sorted_terms() == [(((-1, 0), DiffMon(0, 1)), 1)]
 
     def test_multiplicative(self):
         rng = random.Random(48)
@@ -194,6 +196,22 @@ class TestProjectModuloPrime:
                 assert (pa * pb).involution() == pb.involution() * pa.involution()
                 assert project_modulo_prime(a.involution(), idx) == pa.involution()
 
+    def test_commutes_with_grading(self):
+        rng = random.Random(52)
+        for n in (2, 3):
+            sets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+            for _ in range(20):
+                a = rand_in(rng, n, 4)
+                for idx in sets:
+                    p = project_modulo_prime(a, idx)
+                    for d in range(-4, 5):
+                        assert project_modulo_prime(a.grade_component(d), idx) == p.grade_component(d)
+
+    def test_index_outside_the_factors(self):
+        for idx in ([0], [3], [1, 3]):
+            with pytest.raises(DimensionMismatch):
+                project_modulo_prime(gen_h(2, 1), idx)
+
     def test_full_projection_kernel_is_maximal_ideal(self):
         # projecting every factor kills exactly the members of the maximal ideal
         rng = random.Random(49)
@@ -205,36 +223,89 @@ class TestProjectModuloPrime:
 
 
 class TestQuotientMonomials:
-    """The closed forms for quotient-mode monomials (d, j) = H^j D^d against
-    the products of `B1Element`, which shift and multiply polynomials."""
+    """Quotient-mode words against the skew Laurent arithmetic of
+    `B1Element`, which shifts and multiplies polynomials; both are compared
+    on the printed pairs (d, j) = H^j D^d of `sorted_terms()`."""
 
-    GRID = [(d, j) for d in range(-3, 4) for j in range(4)]
+    WORDS = [(0, k, j) for k in range(-3, 4) for j in range(4)]
 
     @staticmethod
-    def product(*monos):
-        b = B1Element({0: 1})
-        for d, j in monos:
-            b = b * B1Element({d: PolyH.monomial(j)})
-        return {(d, j): c for d, p in b.terms.items() for j, c in p.terms.items()}
+    def quotient(m):
+        return InElement(1, {(m,): 1}, (MODE_QUOT,))
+
+    @staticmethod
+    def laurent(k, j, h_first):
+        """H^j D^k, or D^k H^j when not h_first."""
+        h, dk = B1Element({0: PolyH.monomial(j)}), B1Element({k: 1})
+        return h * dk if h_first else dk * h
+
+    def image(self, m):
+        """The word m in B1: H^j d^-k is H^j D^-k, and int^k H^j is D^-k H^j."""
+        _, k, j = m
+        return self.laurent(-k, j, k <= 0)
+
+    @staticmethod
+    def pairs(b):
+        return sorted((((d, j),), c) for d, p in b.terms.items() for j, c in p.terms.items())
 
     def test_products(self):
-        for m1 in self.GRID:
-            for m2 in self.GRID:
-                out = {}
-                _b1_mul_into(m1, m2, out)
-                assert out == self.product(m1, m2), (m1, m2)
+        for m1 in self.WORDS:
+            q1, b1 = self.quotient(m1), self.image(m1)
+            for m2 in self.WORDS:
+                got = (q1 * self.quotient(m2)).sorted_terms()
+                assert got == self.pairs(b1 * self.image(m2)), (m1, m2)
 
     def test_involution(self):
-        for d, j in self.GRID:
-            # (H^j D^d)* = D^-d H^j
-            assert _factor_involution((d, j), MODE_QUOT) == self.product((-d, 0), (0, j))
+        # the anti-automorphism with D* = D^-1 and H* = H
+        for m in self.WORDS:
+            _, k, j = m
+            want = self.laurent(k, j, k > 0)
+            assert self.quotient(m).involution().sorted_terms() == self.pairs(want), m
 
     def test_quotient_map(self):
-        for k in range(-3, 4):
-            for j in range(4):
-                # int^k H^j = D^-k H^j for k > 0; H^j d^-k = H^j D^-k otherwise
-                want = self.product((-k, 0), (0, j)) if k > 0 else self.product((-k, j))
-                assert _b1_monos(quotient_terms((0, k, j))) == want, (k, j)
+        for m in self.WORDS:
+            img = project_modulo_prime(from_i1(I1Element.from_mono(m)), [1])
+            assert img.terms == {(m,): 1}
+            assert img.sorted_terms() == self.pairs(self.image(m)), m
+        for s in range(3):
+            for t in range(3):
+                assert project_modulo_prime(from_i1(I1Element.from_mono(MatUnit(s, t))), [1]) == 0
+
+
+class TestRefusals:
+    """Each check of the tensor layer raises its documented error."""
+
+    def test_mode_mismatch(self):
+        a = gen_h(2, 1)
+        b = project_modulo_prime(a, [1])
+        with pytest.raises(ModeMismatch):
+            a * b
+        with pytest.raises(ModeMismatch):
+            a + b
+
+    def test_mode_vector_length(self):
+        with pytest.raises(DimensionMismatch):
+            InElement(2, None, (MODE_QUOT,))
+
+    def test_to_i1_needs_one_full_factor(self):
+        for a in (gen_h(2, 1), project_modulo_prime(gen_h(1, 1), [1])):
+            with pytest.raises(ModeMismatch):
+                to_i1(a)
+
+    def test_apply_n_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            apply_n(gen_h(2, 1), PolyXn.one(3))
+
+    def test_membership_needs_full_mode(self):
+        a = project_modulo_prime(gen_h(2, 1), [2])
+        with pytest.raises(ModeMismatch):
+            ideal_membership(a, IdealAntichain(2, [0b00]))
+
+    def test_generator_index(self):
+        for gen in (gen_partial, gen_integ, gen_h, gen_x):
+            for i in (0, 3):
+                with pytest.raises(DimensionMismatch):
+                    gen(2, i)
 
 
 class TestRepr:
