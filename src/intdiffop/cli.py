@@ -130,7 +130,6 @@ def _relation_suite(n: int):
         d = gen_partial(n, i)
         integ = gen_integ(n, i)
         h = gen_h(n, i)
-        one = d * integ  # also the unit after the first identity holds
         rows.append((f"d{i}*int{i} = 1", d * integ == 1))
         rows.append((f"H{i}*int{i} - int{i}*H{i} = int{i}", h * integ - integ * h == integ))
         rows.append((f"H{i}*d{i} - d{i}*H{i} = -d{i}", h * d - d * h == -d))

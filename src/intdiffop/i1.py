@@ -166,6 +166,7 @@ class I1Element(Sparse):
                 _mono_mul_into(m1, m2, out, v1 * v2)
         return self._new(out)
 
+    # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
     __pow__ = Sparse.__pow__
 
     def involution(self) -> "I1Element":

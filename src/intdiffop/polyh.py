@@ -253,35 +253,60 @@ ONE = PolyH.const(1)
 
 
 def nonneg_shifted_roots(p: PolyH):
-    """The set {i in N : p(i+1) = 0}, found by exact rational-root enumeration.
+    """The set {i in N : p(i+1) = 0}, found by an exact integer root search.
 
     Raises ZeroPolynomial for p = 0 (every index would qualify).
     """
     if p.is_zero():
         raise ZeroPolynomial("kernel of right multiplication by 0 is everything")
-    # Clear denominators: integer roots of the primitive part divide its
-    # lowest nonzero coefficient (the power of H it strips off contributes
-    # only the root 0, never a root >= 1).
     c = _primitive(p.terms)[0]
-    while not c[-1]:
-        c.pop()
+    # Cauchy's bound: every root has absolute value below 1 + max|a_i|/|a_n|
+    bound = 1 + -(-max(map(abs, c[1:]), default=0) // abs(c[0]))
     roots = set()
-    for m in _positive_divisors(abs(c[-1])):
-        if p(m) == 0:
-            roots.add(m - 1)
+    for a, b in _monotone_runs(c, 1, bound):
+        x = a - 1 if not _value(c, a) else _crossing(c, a, b)
+        if x is not None and not _value(c, x + 1):
+            roots.add(x)
     return roots
 
 
-def _positive_divisors(a0: int):
-    out = []
-    d = 1
-    while d * d <= a0:
-        if a0 % d == 0:
-            out.append(d)
-            if d != a0 // d:
-                out.append(a0 // d)
-        d += 1
-    return sorted(out)
+def _value(a: list, x: int) -> int:
+    """The integer list a evaluated at the integer x (Horner)."""
+    acc = 0
+    for c in a:
+        acc = acc * x + c
+    return acc
+
+
+def _monotone_runs(a: list, lo: int, hi: int) -> list:
+    """Integer intervals (s, t), in order and covering lo..hi, on each of
+    which the integer list a is monotone on the reals.  The cuts are the sign
+    changes of the derivative, found by the same search one degree down."""
+    if len(a) <= 2:
+        return [(lo, hi)]
+    top = len(a) - 1
+    da = [c * (top - i) for i, c in enumerate(a[:-1])]
+    runs = []
+    for s, t in _monotone_runs(da, lo, hi):
+        x = _crossing(da, s, t)
+        runs += [(s, t)] if x is None else [(s, x), (x + 1, t)]
+    return runs
+
+
+def _crossing(a: list, s: int, t: int):
+    """For a monotone on the reals over [s, t]: the x in s..t-1 with a(x)
+    of the sign of a(s) and a(x + 1) not, by bisection; None when a(s) = 0
+    or there is no such x."""
+    first = _value(a, s)
+    if not first or first * _value(a, t) > 0:
+        return None
+    while t - s > 1:
+        m = (s + t) // 2
+        if first * _value(a, m) > 0:
+            s = m
+        else:
+            t = m
+    return s
 
 
 def _cofactors(p: PolyH, q: PolyH):

@@ -60,9 +60,11 @@ EXIT_CODE_CASES = [
 
 
 def invoke(args):
-    """Run the CLI in a fresh process; returns (exit code, stdout bytes)."""
+    """Run the CLI in a fresh process on the standard library alone (no site
+    packages) with warnings as errors; returns (exit code, stdout bytes)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "intdiffop.cli", *args],
+        [sys.executable, "-S", "-W", "error", "-m", "intdiffop.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
     )
     return proc.returncode, proc.stdout
@@ -135,11 +137,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_counts_below_one_are_refused_alike(capsys):
-    for args in (["check", "relations", "-n", "0"], ["dedekind", "-1"]):
+    for args in (["check", "relations", "-n", "0"], ["dedekind", "-1"],
+                 ["normalize", "-n", "abc", "d1"], ["dedekind", "x"]):
         assert run(args) == 2
     assert capsys.readouterr().err == (
         "usage error: argument -n: expected a positive integer, got '0'\n"
         "usage error: argument N: expected a positive integer, got '-1'\n"
+        "usage error: argument -n: expected a positive integer, got 'abc'\n"
+        "usage error: argument N: expected a positive integer, got 'x'\n"
     )
 
 

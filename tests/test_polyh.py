@@ -2,6 +2,7 @@
 
 import operator
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -222,6 +223,12 @@ class TestShiftedRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             nonneg_shifted_roots(PolyH())
+
+    def test_large_root_needs_no_divisor_scan(self):
+        # a trial division up to sqrt(10**28 + 7) would not finish
+        start = time.perf_counter()
+        assert nonneg_shifted_roots(H - (10**28 + 7)) == {10**28 + 6}
+        assert time.perf_counter() - start < 1.0
 
     def test_against_brute_scan(self):
         rng = random.Random(15)

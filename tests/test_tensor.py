@@ -16,6 +16,7 @@ from intdiffop import (
     MatUnit,
     PolyXn,
     apply_n,
+    enumerate_ideals,
     from_i1,
     gen_h,
     gen_integ,
@@ -322,7 +323,29 @@ class TestRepr:
         )
 
 
+def per_bit_membership(a, antichain):
+    """Membership by the per-factor rule: a support tuple is f-compatible when
+    each factor with f(i) = 0 is a matrix unit, and a lies in the ideal iff
+    each of its tuples is compatible with some generator f."""
+    return all(
+        any(all((f >> k) & 1 or tup[k][0] for k in range(a.n)) for f in antichain.masks)
+        for tup in a.terms
+    )
+
+
 class TestIdealMembership:
+    def test_against_the_per_bit_rule(self):
+        rng = random.Random(54)
+        members = total = 0
+        for n in (1, 2, 3):
+            for c in enumerate_ideals(n):
+                for a in [InElement.zero(n)] + [rand_in(rng, n, 3) for _ in range(24)]:
+                    want = per_bit_membership(a, c)
+                    assert ideal_membership(a, c) == want, (a, c)
+                    members += want
+                    total += 1
+        assert total == 29 * 25 and 100 < members < total - 100
+
     def test_f_tensor_f(self):
         a = tensor(
             [I1Element.from_mono(MatUnit(0, 0)), I1Element.from_mono(MatUnit(1, 1))]
