@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .errors import ZeroPolynomial
 from .laurent import B1Element
 from .polyh import PolyH, nonneg_shifted_roots
 from .sparse import Sparse, _acc
@@ -217,9 +216,8 @@ def decompose_lemma21(a: I1Element, n: int):
 
 
 def ker_right_mult_poly(alpha: PolyH):
-    """Column indices i with e[j,i]*alpha(H) = 0, i.e. alpha(i+1) = 0."""
-    if alpha.is_zero():
-        raise ZeroPolynomial("right multiplication by the zero polynomial")
+    """Column indices i with e[j,i]*alpha(H) = 0, i.e. alpha(i+1) = 0;
+    ZeroPolynomial for alpha = 0."""
     return nonneg_shifted_roots(alpha)
 
 

@@ -91,43 +91,55 @@ def length(b):
     return b.top_degree() - min(b.terms)
 
 
+def _divisor(c: CalB1Element):
+    """(length, top degree, 1/gamma, tail) of a nonzero divisor c with top
+    coefficient gamma; the tail is c without its top term."""
+    if c.is_zero():
+        raise DivisionByZero("division by zero in the skew Laurent algebra")
+    dc = c.top_degree()
+    tail = dict(c.terms)
+    # one inverse of gamma per division: tau is an automorphism, so
+    # tau^s(1/gamma) = 1/tau^s(gamma)
+    inv = tail.pop(dc).inverse()
+    return length(c), dc, inv, c._new(tail)
+
+
 def right_divide(b: CalB1Element, c: CalB1Element):
     """b = q*c + r with r = 0 or length(r) < length(c).
 
-    Greedy elimination of the top degree; each step strictly shrinks the
-    length of the remainder, so termination is immediate.
+    Each step picks mu D^s so that mu D^s * c has the remainder's top term.
+    That term cancels by construction, so the step drops it from the
+    remainder and subtracts only mu D^s times the tail of c.  Each step
+    strictly shrinks the length of the remainder, so termination is
+    immediate.
     """
-    if c.is_zero():
-        raise DivisionByZero("division by zero in the skew Laurent algebra")
+    lc, dc, inv, tail = _divisor(c)
     q = {}
     r = b
-    lc = length(c)
-    dc = c.top_degree()
-    # one inverse of the top coefficient gamma of c: tau is an automorphism,
-    # so tau^s(1/gamma) = 1/tau^s(gamma)
-    inv = c.terms[dc].inverse()
     while r and length(r) >= lc:
-        dr = r.top_degree()
+        rest = dict(r.terms)
+        dr = max(rest)
         shift = dr - dc
-        mu = q[shift] = r.terms[dr] * inv.shift(shift)
-        r = r - r._new({shift: mu}) * c
+        mu = q[shift] = rest.pop(dr) * inv.shift(shift)
+        r = r._new(rest) - r._new({shift: mu}) * tail
     return CalB1Element(q), r
 
 
 def left_divide(b: CalB1Element, c: CalB1Element):
-    """b = c*q + r with r = 0 or length(r) < length(c)."""
-    if c.is_zero():
-        raise DivisionByZero("division by zero in the skew Laurent algebra")
+    """b = c*q + r with r = 0 or length(r) < length(c).
+
+    The mirror of `right_divide`: each step drops the remainder's top term
+    and subtracts only the tail of c times mu D^s.
+    """
+    lc, dc, inv, tail = _divisor(c)
     q = {}
     r = b
-    lc = length(c)
-    dc = c.top_degree()
-    inv = c.terms[dc].inverse()
     while r and length(r) >= lc:
-        dr = r.top_degree()
+        rest = dict(r.terms)
+        dr = max(rest)
         shift = dr - dc
         # c * mu D^shift has top coefficient gamma * tau^dc(mu), gamma the
         # top coefficient of c
-        mu = q[shift] = (r.terms[dr] * inv).shift(-dc)
-        r = r - c * r._new({shift: mu})
+        mu = q[shift] = (rest.pop(dr) * inv).shift(-dc)
+        r = r._new(rest) - tail * r._new({shift: mu})
     return CalB1Element(q), r

@@ -2,10 +2,11 @@
 
 Polynomials store exact rational coefficients (`int` or `fractions.Fraction`)
 sparsely by degree; there is no floating point anywhere in the engine, and
-the shift automorphism tau (H -> H+1) is a first-class operation.  The gcd
-clears denominators and runs in Python ints, and so do the cofactors p/g and
-q/g: each is an exact quotient of primitive integer lists, turned back into
-Fractions once.
+the shift automorphism tau (H -> H+1) is a first-class operation.  Products,
+shifts and the gcd clear denominators and run on primitive integer lists in
+Python ints, and so do the cofactors p/g and q/g: each is an exact quotient
+of primitive integer lists.  Each result is scaled back by its content once,
+and an integral coefficient stays an int.
 Rational functions stay reduced by cancelling crosswise in products and by
 Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
 so only small gcds are ever taken.
@@ -14,10 +15,10 @@ so only small gcds are ever taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as igcd, lcm
+from math import gcd as igcd, lcm
 
 from .errors import DivisionByZero, ZeroPolynomial
-from .sparse import Sparse, _acc
+from .sparse import Sparse, _acc, _rat
 
 
 # ---------------------------------------------------------------- text rules
@@ -138,9 +139,13 @@ def _exquo(a: list, b: list) -> list:
 
 
 def _scaled(a: list, s: Fraction) -> dict:
-    """The term map of s times the integer list a."""
+    """The term map of s times the integer list a, each coefficient an int
+    when integral."""
     top = len(a) - 1
-    return {top - i: s * c for i, c in enumerate(a) if c}
+    if s.denominator == 1:
+        s = s.numerator
+        return {top - i: s * c for i, c in enumerate(a) if c}
+    return {top - i: _rat(s * c) for i, c in enumerate(a) if c}
 
 
 class PolyH(Sparse):
@@ -178,11 +183,17 @@ class PolyH(Sparse):
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
-        out = {}
-        for d1, v1 in self.terms.items():
-            for d2, v2 in other.terms.items():
-                _acc(out, d1 + d2, v1 * v2)
-        return self._new(out)
+        # one convolution of the primitive integer lists, scaled once by the
+        # product of the contents
+        a, c = _primitive(self.terms)
+        b, e = _primitive(other.terms)
+        out = [0] * (len(a) + len(b) - 1)
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    out[i + j] += x * y
+        return self._new(_scaled(out, c * e))
 
     __rmul__ = __mul__
 
@@ -190,12 +201,15 @@ class PolyH(Sparse):
         """Apply tau^k: result(H) = self(H + k)."""
         if k == 0 or not self.terms:
             return self
-        out = {}
-        for d, v in self.terms.items():
-            # (H + k)^d expanded by the binomial theorem, in integers
-            for m in range(d + 1):
-                _acc(out, m, v * (comb(d, m) * k ** (d - m)))
-        return self._new(out)
+        # Taylor shift by Horner, out <- out*(H + k) + x, in Python ints;
+        # tau^k is an automorphism of Z[H], so the content is unchanged
+        a, c = _primitive(self.terms)
+        out = []
+        for x in a:
+            out.append(x)
+            for i in range(len(out) - 1, 0, -1):
+                out[i] += k * out[i - 1]
+        return self._new(_scaled(out, c))
 
     def __call__(self, v):
         """Exact Horner evaluation at a rational point."""

@@ -4,8 +4,9 @@ Polynomials in H and in x, elements of the one- and n-variable algebras and
 skew Laurent polynomials are all finite sums: a map from basis keys to
 nonzero coefficients.  `Sparse` holds that map in `terms` and is the only
 owner of its invariant: every coefficient passes the one `_coerce` hook (by
-default an exact rational: an `int` when integral, else a `Fraction`), no
-zero coefficient is stored, and equal keys add up.  An `int` and an equal
+default an exact rational: an `int` when integral, else a `Fraction`), the
+new coefficients of sums, differences and scalings too, no zero coefficient
+is stored, and equal keys add up.  An `int` and an equal
 `Fraction` compare, hash and print alike, so the two may mix.  It holds the
 only constructor loop, scalar embedding, `coeffs` copy and scalar
 `__rmul__`, and the only linear operations, equality, hashing and powers,
@@ -126,9 +127,10 @@ class Sparse:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        coerce = self._coerce
         for k, v in other.terms.items():
             w = out.get(k)
-            w = v if w is None else w + v
+            w = v if w is None else coerce(w + v)
             if w:
                 out[k] = w
             else:
@@ -145,9 +147,10 @@ class Sparse:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        coerce = self._coerce
         for k, v in other.terms.items():
             w = out.get(k)
-            w = -v if w is None else w - v
+            w = -v if w is None else coerce(w - v)
             if w:
                 out[k] = w
             else:
@@ -164,7 +167,8 @@ class Sparse:
         c = _rat(c)
         if not c:
             return self._new({})
-        return self._new({k: c * v for k, v in self.terms.items()})
+        coerce = self._coerce
+        return self._new({k: coerce(c * v) for k, v in self.terms.items()})
 
     def __rmul__(self, other):
         # rationals are central, so c * self = self * c

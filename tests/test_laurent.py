@@ -19,7 +19,7 @@ from intdiffop import (
 )
 from intdiffop.errors import DivisionByZero
 
-from conftest import rand_calb1, rand_calb1_nonzero, rand_i1
+from conftest import rand_calb1, rand_calb1_nonzero, rand_i1, rand_ratfunc
 
 H = PolyH.monomial(1)
 D, INT, _, _ = generators()
@@ -142,6 +142,82 @@ class TestLeftDivide:
             q, r = left_divide(b, c)
             assert c * q + r == b
             assert r.is_zero() or length(r) < length(c)
+
+
+def reference_right_divide(b: CalB1Element, c: CalB1Element):
+    """Right division whose every step subtracts all of mu D^s * c, the top
+    term included."""
+    q, r = {}, b
+    dc = c.top_degree()
+    inv = c.terms[dc].inverse()
+    while r and length(r) >= length(c):
+        dr = r.top_degree()
+        mu = q[dr - dc] = r.terms[dr] * inv.shift(dr - dc)
+        r = r - r._new({dr - dc: mu}) * c
+    return CalB1Element(q), r
+
+
+def reference_left_divide(b: CalB1Element, c: CalB1Element):
+    """Left division whose every step subtracts all of c * mu D^s."""
+    q, r = {}, b
+    dc = c.top_degree()
+    inv = c.terms[dc].inverse()
+    while r and length(r) >= length(c):
+        dr = r.top_degree()
+        mu = q[dr - dc] = (r.terms[dr] * inv).shift(-dc)
+        r = r - c * r._new({dr - dc: mu})
+    return CalB1Element(q), r
+
+
+def reference_pairs():
+    """320 seeded (dividend, nonzero divisor) pairs, forty of each kind."""
+    rng = random.Random(79)
+    pairs = []
+    for i in range(320):
+        kind = i % 8
+        if kind == 0:  # a divisor of length 0 at any degree
+            c = cal({rng.randint(-3, 3): rand_ratfunc(rng)})
+        elif kind == 1:  # a divisor with a gap in its support
+            c = cal({-1: rand_ratfunc(rng), 2: rand_ratfunc(rng)})
+        else:
+            c = rand_calb1_nonzero(rng, 2)
+        if kind in (2, 3):  # exact quotients: r = 0
+            b = rand_calb1_nonzero(rng, 2)
+            b = b * c if kind == 2 else c * b
+        elif kind == 4:  # b shorter than c
+            c = cal({-2: rand_ratfunc(rng), 1: rand_ratfunc(rng)})
+            b = cal({rng.randint(-2, 2): rand_ratfunc(rng), 0: rand_ratfunc(rng)})
+        else:
+            b = rand_calb1(rng, 4)
+        pairs.append((b, c))
+    return pairs
+
+
+def coefficients(x: CalB1Element):
+    """Every coefficient of the numerators and denominators of x."""
+    return [v for f in x.terms.values() for p in (f.num, f.den) for v in p.terms.values()]
+
+
+class TestAgainstTheReference:
+    """The steps that skip the cancelling top term give the same q and r as
+    the steps that subtract it."""
+
+    @pytest.mark.parametrize("divide,reference", [
+        (right_divide, reference_right_divide), (left_divide, reference_left_divide)])
+    def test_quotient_and_remainder(self, divide, reference):
+        exact = short = 0
+        for b, c in reference_pairs():
+            (q, r), (q0, r0) = divide(b, c), reference(b, c)
+            assert (q.terms, r.terms) == (q0.terms, r0.terms)
+            exact += r.is_zero() and not b.is_zero()
+            short += q.is_zero() and not b.is_zero()
+        assert exact >= 40 and short >= 40
+
+    def test_built_coefficients_are_ints_or_proper_fractions(self):
+        for b, c in reference_pairs():
+            for x in (b, c, *right_divide(b, c), *left_divide(b, c)):
+                for v in coefficients(x):
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 class TestOneInversePerDivision:

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -46,6 +47,79 @@ class TestShift:
             k = rng.randint(-4, 4)
             assert (p * q).shift(k) == p.shift(k) * q.shift(k)
             assert (p + q).shift(k) == p.shift(k) + q.shift(k)
+
+
+def reference_mul(p: PolyH, q: PolyH) -> PolyH:
+    """The product term pair by term pair, over the stored coefficients."""
+    out = {}
+    for d1, v1 in p.terms.items():
+        for d2, v2 in q.terms.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
+    return PolyH(out)
+
+
+def reference_shift(p: PolyH, k: int) -> PolyH:
+    """p(H + k), each term expanded by the binomial theorem."""
+    out = {}
+    for d, v in p.terms.items():
+        for m in range(d + 1):
+            out[m] = out.get(m, 0) + v * (comb(d, m) * k ** (d - m))
+    return PolyH(out)
+
+
+def assert_clean(p: PolyH):
+    """Every coefficient is an int or a non-integral Fraction."""
+    for v in p.terms.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), p.terms
+
+
+def reference_maps():
+    """Seeded polynomials, thirty of each kind: zero, constant, one-term,
+    int-only and mixed int and Fraction maps."""
+    rng = random.Random(15)
+    maps = []
+    for i in range(150):
+        kind = i % 5
+        if kind == 0:
+            p = PolyH()
+        elif kind == 1:
+            p = PolyH.const(rat_poly(rng, 0).leading_coeff())
+        elif kind == 2:
+            p = PolyH.monomial(rng.randint(1, 7), rat_poly(rng, 0).leading_coeff())
+        elif kind == 3:
+            p = rand_polyh(rng, 6)
+        else:
+            p = rand_polyh(rng, 5) + rat_poly(rng, rng.randint(0, 5)) * rand_polyh(rng, 2)
+        maps.append(p)
+    return maps
+
+
+class TestIntegerListArithmetic:
+    """The integer convolution and the integer Taylor shift against the
+    term-by-term product and the binomial expansion over Fractions."""
+
+    def test_mul_matches_the_reference(self):
+        maps = reference_maps()
+        rng = random.Random(16)
+        for p in maps:
+            for q in rng.sample(maps, 10):
+                got = p * q
+                assert got.terms == reference_mul(p, q).terms
+                assert_clean(got)
+
+    def test_shift_matches_the_reference(self):
+        for p in reference_maps():
+            for k in range(-5, 6):
+                got = p.shift(k)
+                assert got.terms == reference_shift(p, k).terms
+                assert_clean(got)
+
+    def test_kinds(self):
+        maps = reference_maps()
+        ints = [p for p in maps if all(type(v) is int for v in p.terms.values())]
+        assert sum(p.is_zero() for p in maps) >= 30 and len(ints) >= 60
+        assert sum(len(p.terms) == 1 for p in maps) >= 60
+        assert sum(any(type(v) is Fraction for v in p.terms.values()) for p in maps) >= 60
 
 
 class TestEval:

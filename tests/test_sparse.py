@@ -103,3 +103,15 @@ def test_int_and_fraction_coefficients_agree(name):
         assert any(type(v) is int for v in x.terms.values())
         y = x._new({k: Fraction(v) for k, v in x.terms.items()})
         assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("name", [n for n in ELEMENTS if "B1" not in n])
+def test_integral_sums_differences_and_scalings_are_stored_as_int(name):
+    # 1/2 + 1/2, 3/2 - 1/2 and 2 * 1/2 pass the `_coerce` hook like any
+    # constructor input
+    make, terms, _ = ELEMENTS[name]
+    x = make(terms)
+    half = x.scale(Fraction(1, 2))
+    for y in (half + half, x.scale(Fraction(3, 2)) - half, half.scale(2)):
+        assert y == x
+        assert all(type(v) is int or v.denominator != 1 for v in y.terms.values())
