@@ -21,9 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
+from .errors import LimitExceeded
 from .laurent import B1Element
 from .polyh import PolyH, nonneg_shifted_roots
-from .sparse import Sparse, _acc
+from .sparse import Sparse, _acc, _integral
 
 
 def DiffMon(j: int, i: int) -> tuple:
@@ -65,6 +66,13 @@ def _binomial_row(c: int, j: int) -> list:
     return [comb(j, i) * c ** (j - i) for i in range(j + 1)]
 
 
+# A monomial product whose two factors hold more than this many letters in
+# total is refused with LimitExceeded: int^k and d^k count k, H^j counts j
+# and e[s,t] = int^s e[0,0] d^t counts s + t.  It bounds the terms one product
+# emits and the size of their coefficients.  The largest monomial product of
+# the test suite and the benchmark has 40 letters.
+MAX_DEGREE = 1000
+
 # Every monomial a product emits is interned here, so that results share one
 # tuple per distinct basis monomial.
 _MONOS: dict = {}
@@ -92,6 +100,9 @@ def _mono_mul_into(m1, m2, out: dict, scale: Fraction | int):
     t < m.  A word against e[s,t] is one power of the index H meets.
     """
     (tag1, k1, j1), (tag2, k2, j2) = m1, m2
+    if (letters := abs(k1) + abs(k2) + j1 + j2) > MAX_DEGREE:
+        raise LimitExceeded(
+            f"a monomial product of total degree {letters}, beyond the limit {MAX_DEGREE}")
     if not (tag1 or tag2):
         z = max(k2, 0) + min(k1, 0)  # a2 - b1
         x, y = max(z, 0), max(-z, 0)
@@ -163,7 +174,7 @@ class I1Element(Sparse):
         for m1, v1 in self.terms.items():
             for m2, v2 in other.terms.items():
                 _mono_mul_into(m1, m2, out, v1 * v2)
-        return self._new(out)
+        return self._new(_integral(out))
 
     # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
     __pow__ = Sparse.__pow__

@@ -6,7 +6,9 @@ the shift automorphism tau (H -> H+1) is a first-class operation.  Products,
 shifts and the gcd clear denominators and run on primitive integer lists in
 Python ints, and so do the cofactors p/g and q/g: each is an exact quotient
 of primitive integer lists.  Each result is scaled back by its content once,
-and an integral coefficient stays an int.
+integer first: every entry is multiplied by the content's numerator and
+divided by its denominator in ints, and a Fraction is built only for a value
+that is not integral, so an integral coefficient is always an int.
 Rational functions stay reduced by cancelling crosswise in products and by
 Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
 so only small gcds are ever taken.
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import gcd as igcd, lcm
 
 from .errors import DivisionByZero, ZeroPolynomial
-from .sparse import Sparse, _acc, _rat
+from .sparse import Sparse, _acc
 
 
 # ---------------------------------------------------------------- text rules
@@ -139,13 +141,19 @@ def _exquo(a: list, b: list) -> list:
 
 
 def _scaled(a: list, s: Fraction) -> dict:
-    """The term map of s times the integer list a, each coefficient an int
-    when integral."""
+    """The term map of s times the integer list a, in Python ints: each
+    product with the numerator of s stays an int when the denominator of s
+    divides it, and only the rest become Fractions."""
     top = len(a) - 1
-    if s.denominator == 1:
-        s = s.numerator
-        return {top - i: s * c for i, c in enumerate(a) if c}
-    return {top - i: _rat(s * c) for i, c in enumerate(a) if c}
+    n, d = s.numerator, s.denominator
+    if d == 1:
+        return {top - i: n * c for i, c in enumerate(a) if c}
+    out = {}
+    for i, c in enumerate(a):
+        if c:
+            v = n * c
+            out[top - i] = v // d if v % d == 0 else Fraction(v, d)
+    return out
 
 
 class PolyH(Sparse):
@@ -229,7 +237,8 @@ class PolyH(Sparse):
     def divmod(self, other):
         """Euclidean division by a nonzero polynomial or rational.  One
         descending sweep over the dividend's term map writes each quotient
-        coefficient once."""
+        coefficient once; the sweep divides by a Fraction, so q and r pass
+        the constructor's coercion once at the end."""
         other = self._polynomial(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
@@ -244,7 +253,7 @@ class PolyH(Sparse):
                 c = q[d - db] = c / lc
                 for e, v in tail.items():
                     _acc(r, e + d - db, -c * v)
-        return self._new(q), self._new(r)
+        return type(self)(q), type(self)(r)
 
     def gcd(self, other) -> "PolyH":
         """The monic greatest common divisor with a polynomial or a rational;

@@ -6,7 +6,8 @@ nonzero coefficients.  `Sparse` holds that map in `terms` and is the only
 owner of its invariant: every coefficient passes the one `_coerce` hook (by
 default an exact rational: an `int` when integral, else a `Fraction`), the
 new coefficients of sums, differences and scalings too, no zero coefficient
-is stored, and equal keys add up.  An `int` and an equal
+is stored, and equal keys add up.  A product rule that accumulates raw
+values coerces its result map once, with `_integral`.  An `int` and an equal
 `Fraction` compare, hash and print alike, so the two may mix.  It holds the
 only constructor loop, scalar embedding, `coeffs` copy and scalar
 `__rmul__`, and the only linear operations, equality, hashing and powers,
@@ -38,6 +39,15 @@ def _rat(v) -> int | Fraction:
     if isinstance(v, int):
         return int(v)
     raise TypeError(f"coefficient must be an int or a Fraction, not {type(v).__name__}")
+
+
+def _integral(out: dict) -> dict:
+    """out, with each integral Fraction value replaced in place by its int.
+    A product coerces its result map once, not each monomial pair."""
+    for k, v in out.items():
+        if type(v) is Fraction and v.denominator == 1:
+            out[k] = v.numerator
+    return out
 
 
 def _acc(out: dict, key, c):

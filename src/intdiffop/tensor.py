@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, EmptyFactorList, ModeMismatch
+from .errors import DimensionMismatch, EmptyFactorList, LimitExceeded, ModeMismatch
 from .i1 import (
     DiffMon,
     HMon,
@@ -30,10 +30,17 @@ from .i1 import (
     quotient_terms,
 )
 from .lattice import IdealAntichain, ideal_includes
-from .sparse import Sparse, _acc
+from .sparse import Sparse, _acc, _integral
 
 MODE_FULL = "I"
 MODE_QUOT = "B"
+
+# A product, a tensor product or an action is refused once the terms it holds
+# plus the expansion of one monomial pair would pass this, checked once per
+# factor of each pair.  Each factor's product is bounded by i1.MAX_DEGREE, and
+# this keeps n factors from multiplying that bound.  The test suite and the
+# benchmark reach 4,319.
+MAX_TERMS = 1 << 15
 
 
 def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
@@ -47,11 +54,14 @@ def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
 
 def _expand_into(out: dict, factor_maps, c):
     """Accumulate c times the tensor product of the per-factor maps
-    (monomial -> coefficient) into `out`; an empty map makes it zero."""
+    (monomial -> coefficient) into `out`; an empty map makes it zero.
+    Refuses to let `out` and the expansion grow beyond MAX_TERMS terms."""
     partial = [((), c)]
     for fk in factor_maps:
         if not fk:
             return
+        if len(out) + len(partial) * len(fk) > MAX_TERMS:
+            raise LimitExceeded(f"a product of more than {MAX_TERMS} terms")
         partial = [
             (pref + (m,), v if fc == 1 else v * fc)
             for pref, v in partial
@@ -124,7 +134,7 @@ class InElement(Sparse):
         for t1, v1 in self.terms.items():
             for t2, v2 in other.terms.items():
                 _expand_into(out, map(_factor_mul, t1, t2, modes), v1 * v2)
-        return self._new(out)
+        return self._new(_integral(out))
 
     # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
     __pow__ = Sparse.__pow__
@@ -263,7 +273,7 @@ def apply_n(a: InElement, p: PolyXn) -> PolyXn:
     for tup, v in a.terms.items():
         for deg, c in p.terms.items():
             _expand_into(out, map(_mono_apply, tup, deg), v * c)
-    return p._new(out)
+    return p._new(_integral(out))
 
 
 def project_modulo_prime(a: InElement, index_set) -> InElement:

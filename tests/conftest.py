@@ -26,6 +26,17 @@ from intdiffop.laurent import CalB1Element
 
 # ---------------------------------------------------------------- generators
 
+def is_exact(v) -> bool:
+    """v is stored as the engine stores rationals: an int when integral,
+    else a Fraction."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def calb1_coefficients(x: CalB1Element):
+    """Every coefficient of the numerators and denominators of x."""
+    return [v for f in x.terms.values() for p in (f.num, f.den) for v in p.terms.values()]
+
+
 def rand_coeff(rng):
     num = rng.randint(-4, 4)
     if num == 0:

@@ -104,6 +104,31 @@ def test_power_beyond_the_size_limit_is_refused_at_once():
     )
 
 
+def test_degree_beyond_the_budget_is_refused_at_once():
+    # 27 bytes that printed 1,777,782 bytes; the squaring that would reach
+    # int1^1024 is the first product beyond the degree budget
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-m", "intdiffop.cli",
+         "normalize", "int1^100000*d1^100000"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: a monomial product of total degree 1024, beyond the limit 1000\n"
+    )
+
+
+def test_factors_cannot_multiply_the_degree_budget(capsys):
+    assert run(["normalize", "-n", "2", "int1^200*d1^200*int2^200*d2^200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a product of more than 32768 terms\n"
+
+
 def test_chain_of_products_beyond_the_size_limit_is_refused(capsys):
     # six copies of the nine-term sum have 4,314 terms; the seventh pairs 38,826
     s = "(d1+int1+H1+d2+int2+H2+d3+int3+H3)"

@@ -24,7 +24,7 @@ from intdiffop import (
     project_B1,
 )
 from intdiffop import i1
-from intdiffop.errors import ZeroPolynomial
+from intdiffop.errors import LimitExceeded, ZeroPolynomial
 from intdiffop.i1 import _mono_mul_into, from_polyh
 from intdiffop.laurent import B1Element
 from intdiffop.sparse import _acc
@@ -177,6 +177,37 @@ class TestMonoProduct:
             keys = {m: m for m in ba}
             assert all(keys[m] is m for m in ab if m in keys)
             assert all(i1._MONOS[m] is m for m in (*ab, *ba))
+
+
+class TestDegreeBudget:
+    """A monomial product with more than MAX_DEGREE letters in its two
+    factors is refused before it emits a term."""
+
+    def test_at_the_limit(self):
+        assert i1.MAX_DEGREE == 1000
+        assert H**1000 == I1Element.from_mono(HMon(1000))
+        assert len((INT**500 * D**500).terms) == 501
+        assert (H**999 * e(1, 0)).terms == {MatUnit(1, 0): 2**999}
+
+    @pytest.mark.parametrize("m1,m2,letters", [
+        (HMon(1001), HMon(0), 1001),
+        (IntMon(501, 0), DiffMon(0, 500), 1001),
+        (DiffMon(0, 1), HMon(1000), 1001),
+        (HMon(1000), MatUnit(1, 0), 1001),
+        (MatUnit(0, 600), IntMon(600, 0), 1200),
+    ])
+    def test_beyond_the_limit(self, m1, m2, letters):
+        out = {}
+        with pytest.raises(LimitExceeded, match=f"total degree {letters}, beyond the limit 1000"):
+            _mono_mul_into(m1, m2, out, 1)
+        assert out == {}
+
+    def test_powers_stop_at_the_first_product_beyond(self):
+        with pytest.raises(LimitExceeded, match="total degree 1001"):
+            H**1001
+        # int^100000 fails at the squaring that would reach int^1024
+        with pytest.raises(LimitExceeded, match="total degree 1024"):
+            INT**100000
 
 
 class TestRingOps:

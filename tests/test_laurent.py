@@ -19,7 +19,7 @@ from intdiffop import (
 )
 from intdiffop.errors import DivisionByZero
 
-from conftest import rand_calb1, rand_calb1_nonzero, rand_i1, rand_ratfunc
+from conftest import calb1_coefficients, is_exact, rand_calb1, rand_calb1_nonzero, rand_i1, rand_ratfunc
 
 H = PolyH.monomial(1)
 D, INT, _, _ = generators()
@@ -193,11 +193,6 @@ def reference_pairs():
     return pairs
 
 
-def coefficients(x: CalB1Element):
-    """Every coefficient of the numerators and denominators of x."""
-    return [v for f in x.terms.values() for p in (f.num, f.den) for v in p.terms.values()]
-
-
 class TestAgainstTheReference:
     """The steps that skip the cancelling top term give the same q and r as
     the steps that subtract it."""
@@ -216,8 +211,7 @@ class TestAgainstTheReference:
     def test_built_coefficients_are_ints_or_proper_fractions(self):
         for b, c in reference_pairs():
             for x in (b, c, *right_divide(b, c), *left_divide(b, c)):
-                for v in coefficients(x):
-                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                assert all(map(is_exact, calb1_coefficients(x)))
 
 
 class TestOneInversePerDivision:

@@ -12,8 +12,9 @@ import pytest
 from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots, polyh
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
 from intdiffop.laurent import CalB1Element
+from intdiffop.sparse import _rat
 
-from conftest import rand_calb1, rand_polyh, rand_polyh_nonzero, rand_ratfunc
+from conftest import is_exact, rand_calb1, rand_polyh, rand_polyh_nonzero, rand_ratfunc
 
 H = PolyH.monomial(1)
 
@@ -69,8 +70,7 @@ def reference_shift(p: PolyH, k: int) -> PolyH:
 
 def assert_clean(p: PolyH):
     """Every coefficient is an int or a non-integral Fraction."""
-    for v in p.terms.values():
-        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), p.terms
+    assert all(map(is_exact, p.terms.values())), p.terms
 
 
 def reference_maps():
@@ -122,6 +122,53 @@ class TestIntegerListArithmetic:
         assert sum(any(type(v) is Fraction for v in p.terms.values()) for p in maps) >= 60
 
 
+def reference_scaled(a: list, s: Fraction) -> dict:
+    """s times the integer list a as one Fraction product per coefficient,
+    each turned into an int when integral."""
+    top = len(a) - 1
+    if s.denominator == 1:
+        s = s.numerator
+        return {top - i: s * c for i, c in enumerate(a) if c}
+    return {top - i: _rat(s * c) for i, c in enumerate(a) if c}
+
+
+def typed(terms: dict) -> dict:
+    """The term map with each value paired with its exact type."""
+    return {d: (type(v), v) for d, v in terms.items()}
+
+
+class TestIntegerFirstScaling:
+    """`_scaled` in ints against the Fraction product per coefficient,
+    values and types alike."""
+
+    CONTENTS = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-7), Fraction(2, 3),
+                Fraction(-5, 6), Fraction(1, 12), Fraction(-35, 4)]
+
+    def test_reference_maps(self):
+        for p in reference_maps():
+            a, c = polyh._primitive(p.terms)
+            for s in [c, -c, *self.CONTENTS]:
+                assert typed(polyh._scaled(a, s)) == typed(reference_scaled(a, s)), (a, s)
+
+    @pytest.mark.parametrize("s,want", [
+        # negative, with a denominator that divides some entries but not all
+        (Fraction(-2, 3), {5: (int, -4), 4: (Fraction, Fraction(8, 3)), 2: (int, -2),
+                           1: (int, -6), 0: (Fraction, Fraction(-2, 3))}),
+        # denominator 1, negative
+        (Fraction(-3), {5: (int, -18), 4: (int, 12), 2: (int, -9), 1: (int, -27), 0: (int, -3)}),
+        # a denominator that divides none
+        (Fraction(1, 5), {5: (Fraction, Fraction(6, 5)), 4: (Fraction, Fraction(-4, 5)),
+                          2: (Fraction, Fraction(3, 5)), 1: (Fraction, Fraction(9, 5)),
+                          0: (Fraction, Fraction(1, 5))}),
+    ])
+    def test_contents(self, s, want):
+        a = [6, -4, 0, 3, 9, 1]
+        assert typed(polyh._scaled(a, s)) == want == typed(reference_scaled(a, s))
+
+    def test_zero_list(self):
+        assert polyh._scaled([], Fraction(3, 4)) == {} == polyh._scaled([0, 0], Fraction(3, 4))
+
+
 class TestEval:
     def test_root(self):
         assert (H - 1)(1) == 0
@@ -153,6 +200,18 @@ class TestRingAxioms:
             quo, rem = p.divmod(q)
             assert quo * q + rem == p
             assert rem.is_zero() or rem.degree() < q.degree()
+            assert_clean(quo)
+            assert_clean(rem)
+
+    def test_divmod_stores_integral_values_as_ints(self):
+        q, r = PolyH({2: 2, 1: 4, 0: 6}).divmod(PolyH({1: 2, 0: 2}))
+        assert typed(q.terms) == {1: (int, 1), 0: (int, 1)}
+        assert typed(r.terms) == {0: (int, 4)}
+        for a, b in division_pairs():
+            for x in a.divmod(b):
+                assert_clean(x)
+        q, r = PolyX({2: 2, 0: 1}).divmod(PolyX({1: 2}))
+        assert type(q) is PolyX and type(r) is PolyX
 
 
 def rat_poly(rng, deg) -> PolyH:

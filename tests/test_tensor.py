@@ -1,5 +1,6 @@
 """Tensor arithmetic over n factors, mixed-mode quotients, ideal membership."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -28,14 +29,17 @@ from intdiffop import (
     tensor,
     to_i1,
 )
-from intdiffop.errors import DimensionMismatch, EmptyFactorList, ModeMismatch
+from intdiffop.errors import DimensionMismatch, EmptyFactorList, LimitExceeded, ModeMismatch
 from intdiffop.laurent import B1Element
+from intdiffop.opparser import parse_operator
 from intdiffop.polyh import PolyH
 from intdiffop.tensor import MODE_QUOT
 
-from conftest import rand_i1, rand_in
+from conftest import is_exact, rand_i1, rand_in
 
 D1, INT1, H1, X1 = generators()
+# the package exports the function `tensor` under the module's name
+TENSOR = importlib.import_module("intdiffop.tensor")
 
 
 class TestTensor:
@@ -307,6 +311,47 @@ class TestRefusals:
             for i in (0, 3):
                 with pytest.raises(DimensionMismatch):
                     gen(2, i)
+
+    def test_term_budget_across_factors(self):
+        # each factor's product int^k * d^k has k + 1 terms, within the
+        # degree budget, but two factors multiply them
+        assert len(parse_operator("int1^180*d1^180*int2^180*d2^180", 2).terms) == 181**2
+        with pytest.raises(LimitExceeded, match="a product of more than 32768 terms"):
+            parse_operator("int1^200*d1^200*int2^200*d2^200", 2)
+
+    def test_term_budget_within_one_monomial_pair(self, monkeypatch):
+        a = parse_operator("int1^2*int2^2*int3^2", 3)
+        b = parse_operator("d1^2*d2^2*d3^2", 3)
+        assert len((a * b).terms) == 27
+        monkeypatch.setattr(TENSOR, "MAX_TERMS", 26)
+        with pytest.raises(LimitExceeded, match="more than 26 terms"):
+            a * b
+
+
+class TestProductsStoreInts:
+    """Element products and actions coerce their result once: every stored
+    coefficient is an int or a Fraction that is not integral."""
+
+    def test_seeded_product_pool(self):
+        rng = random.Random(16)
+        products = []
+        for _ in range(60):
+            a, b = rand_i1(rng), rand_i1(rng)
+            products += [a * b, (a * b) * a, a**2, from_i1(a) * from_i1(b)]
+        for n in (2, 3):
+            for _ in range(30):
+                a, b = rand_in(rng, n, terms=3), rand_in(rng, n, terms=3)
+                idx = [rng.randint(1, n)]
+                products += [a * b, project_modulo_prime(a, idx) * project_modulo_prime(b, idx)]
+        for _ in range(30):
+            a = rand_in(rng, 2, terms=3)
+            poly = PolyXn(2, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(1, 5)})
+            products.append(apply_n(a, poly))
+        values = [v for p in products for v in p.terms.values()]
+        assert sum(type(v) is int for v in values) >= 500
+        assert sum(type(v) is Fraction for v in values) >= 500
+        for p in products:
+            assert all(map(is_exact, p.terms.values())), p.terms
 
 
 class TestRepr:
