@@ -7,6 +7,7 @@ All output is deterministic UTF-8, one logical result per line.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import lattice
@@ -192,13 +193,10 @@ def _dispatch(ns) -> int:
     elif ns.command == "divide":
         b = project_B1(to_i1(parse_operator(ns.b, 1))).to_calb1()
         c = project_B1(to_i1(parse_operator(ns.c, 1))).to_calb1()
-        q, r = left_divide(b, c) if ns.left else right_divide(b, c)
-        if ns.machine:
-            print(q.to_text("D", "H1"))
-            print(r.to_text("D", "H1"))
-        else:
-            print(f"q = {q.to_text('D', 'H1')}")
-            print(f"r = {r.to_text('D', 'H1')}")
+        # both texts are made before either is printed
+        q, r = (x.to_text("D", "H1") for x in (left_divide if ns.left else right_divide)(b, c))
+        print(q if ns.machine else f"q = {q}")
+        print(r if ns.machine else f"r = {r}")
     elif ns.command == "check":
         rows = _relation_suite(ns.n)
         ok = True
@@ -236,7 +234,13 @@ def _ideal_command(ns) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: see SIGPIPE in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

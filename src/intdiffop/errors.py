@@ -27,8 +27,8 @@ class EmptyFactorList(IntDiffOpError):
 
 class LimitExceeded(IntDiffOpError):
     """A request beyond one of the engine's fixed size limits: the ideal
-    enumeration limit, or the term pairs of one product in a power or in
-    parsed text."""
+    enumeration, the terms, degrees and coefficient bits of a product or a
+    power, or the digits of a printed coefficient."""
 
 
 class _AtPosition(IntDiffOpError):

@@ -14,7 +14,8 @@ operator).  Any other character is a parse error at its position.  `^`
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
-which also bounds the recursion of the evaluator over the parsed tree.
+which also bounds the recursion of the evaluator over the parsed tree.  A
+power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NegativeExponent, OperatorSyntaxError
+from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
 from .polyh import join_terms, poly_terms, power_text, term_text
 from .sparse import _bounded_product
 from .tensor import (
@@ -41,6 +42,7 @@ from .tensor import (
 
 _GEN_KINDS = ("x", "d", "int", "H", "e")
 MAX_DEPTH = 200
+MAX_POWER_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------- tokens
@@ -210,7 +212,12 @@ def _evaluate(node, one, leaf):
     if isinstance(node, Neg):
         return -_evaluate(node.arg, one, leaf)
     if isinstance(node, Pow):
-        return _evaluate(node.base, one, leaf) ** node.exp
+        base = _evaluate(node.base, one, leaf)
+        c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
+        if (bits := node.exp * (c.bit_length() - 1)) > MAX_POWER_BITS:
+            raise LimitExceeded(
+                f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")
+        return base ** node.exp
     if isinstance(node, Mul):
         acc = one
         for f in node.factors:

@@ -4,22 +4,23 @@ Polynomials store exact rational coefficients (`int` or `fractions.Fraction`)
 sparsely by degree; there is no floating point anywhere in the engine, and
 the shift automorphism tau (H -> H+1) is a first-class operation.  Products,
 shifts and the gcd clear denominators and run on primitive integer lists in
-Python ints, and so do the cofactors p/g and q/g: each is an exact quotient
-of primitive integer lists.  Each result is scaled back by its content once,
-integer first: every entry is multiplied by the content's numerator and
-divided by its denominator in ints, and a Fraction is built only for a value
-that is not integral, so an integral coefficient is always an int.
+Python ints over contents kept as pairs of ints n/d, which multiply as
+ints; the cofactors p/g and q/g are exact quotients of primitive integer
+lists.  Each result is scaled by its content once, integer first: every
+entry is multiplied by n and divided by d in ints, and a Fraction is built
+only for a value that is not integral, so an integral value is an int.
 Rational functions stay reduced by cancelling crosswise in products and by
 Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
-so only small gcds are ever taken.
+so only small gcds are ever taken, and only a sum makes its gcd monic.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as igcd, lcm
 
-from .errors import DivisionByZero, ZeroPolynomial
+from .errors import DivisionByZero, LimitExceeded, ZeroPolynomial
 from .sparse import Sparse, _acc
 
 
@@ -37,11 +38,13 @@ def term_text(coeff, factors) -> tuple:
     """(sign, body) for the rational coeff times the product of factors."""
     sign = 1 if coeff >= 0 else -1
     coeff = abs(coeff)
-    if not factors:
-        return sign, str(coeff)
-    if coeff == 1:
+    if factors and coeff == 1:
         return sign, "*".join(factors)
-    return sign, "*".join([str(coeff), *factors])
+    try:
+        return sign, "*".join([str(coeff), *factors])
+    except ValueError:  # the interpreter's limit on int -> str conversion
+        limit = sys.get_int_max_str_digits()
+        raise LimitExceeded(f"a coefficient of over {limit} digits to print") from None
 
 
 def poly_terms(p: dict, var: str) -> list:
@@ -65,11 +68,11 @@ def join_terms(segments) -> str:
 # Dense lists of Python ints, highest degree first; [] is the zero polynomial.
 
 def _primitive(terms: dict):
-    """(a, c): the rational term map as its content c > 0 times the integer
-    list a, whose coefficients are coprime, highest degree first; ([], 0)
-    for the zero map."""
+    """(a, n, d): the rational term map as the content n/d times the integer
+    list a, whose coefficients are coprime, highest degree first; n and d
+    are coprime positive ints.  ([], 0, 1) for the zero map."""
     if not terms:
-        return [], Fraction(0)
+        return [], 0, 1
     den = 1
     for v in terms.values():
         den = lcm(den, v.denominator)
@@ -79,7 +82,7 @@ def _primitive(terms: dict):
     for d, v in terms.items():
         c = out[top - d] = v.numerator * (den // v.denominator)
         g = igcd(g, c)
-    return (out if g == 1 else [c // g for c in out]), Fraction(g, den)
+    return (out if g == 1 else [c // g for c in out]), g, den
 
 
 def _prem(a: list, b: list) -> list:
@@ -140,12 +143,11 @@ def _exquo(a: list, b: list) -> list:
     return q
 
 
-def _scaled(a: list, s: Fraction) -> dict:
-    """The term map of s times the integer list a, in Python ints: each
-    product with the numerator of s stays an int when the denominator of s
-    divides it, and only the rest become Fractions."""
+def _scaled(a: list, n: int, d: int) -> dict:
+    """The term map of n/d times the integer list a, for ints n and d != 0,
+    in Python ints: each product with n stays an int when d divides it, and
+    only the rest become Fractions.  n/d need not be in lowest terms."""
     top = len(a) - 1
-    n, d = s.numerator, s.denominator
     if d == 1:
         return {top - i: n * c for i, c in enumerate(a) if c}
     out = {}
@@ -192,16 +194,16 @@ class PolyH(Sparse):
         if type(other) is not type(self):
             return NotImplemented
         # one convolution of the primitive integer lists, scaled once by the
-        # product of the contents
-        a, c = _primitive(self.terms)
-        b, e = _primitive(other.terms)
+        # product of the contents, which multiply as ints
+        a, n, d = _primitive(self.terms)
+        b, m, e = _primitive(other.terms)
         out = [0] * (len(a) + len(b) - 1)
         nonzero = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 for j, y in nonzero:
                     out[i + j] += x * y
-        return self._new(_scaled(out, c * e))
+        return self._new(_scaled(out, n * m, d * e))
 
     __rmul__ = __mul__
 
@@ -211,13 +213,13 @@ class PolyH(Sparse):
             return self
         # Taylor shift by Horner, out <- out*(H + k) + x, in Python ints;
         # tau^k is an automorphism of Z[H], so the content is unchanged
-        a, c = _primitive(self.terms)
+        a, n, d = _primitive(self.terms)
         out = []
         for x in a:
             out.append(x)
             for i in range(len(out) - 1, 0, -1):
                 out[i] += k * out[i - 1]
-        return self._new(_scaled(out, c))
+        return self._new(_scaled(out, n, d))
 
     def __call__(self, v):
         """Exact Horner evaluation at a rational point."""
@@ -261,7 +263,7 @@ class PolyH(Sparse):
         primitive parts; only its last remainder is made monic, as Fractions."""
         other = self._polynomial(other)
         g = _prs(_primitive(self.terms)[0], _primitive(other.terms)[0])
-        return self._new(_scaled(g, Fraction(1, g[0])) if g else {})
+        return self._new(_scaled(g, 1, g[0]) if g else {})
 
     def to_text(self, var: str = "H") -> str:
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
@@ -333,23 +335,23 @@ def _crossing(a: list, s: int, t: int):
 
 
 def _cofactors(p: PolyH, q: PolyH):
-    """(g, p/g, q/g) for the monic g = gcd(p, q) of nonzero p and q; no gcd
-    is taken when either is a constant.
+    """(G, p/g, q/g) for g = gcd(p, q) of nonzero p and q, with G the
+    primitive integer list of g, [1] for g = 1; no gcd is taken when either
+    is a constant.
 
-    With p = c*a and q = e*b for primitive integer lists a and b, the
-    primitive gcd G of a and b divides each of them exactly in Z[H] (Gauss's
-    lemma), so p/g = c * lc(G) * (a/G), and likewise for q: two integer
-    quotients, each turned into Fractions once."""
+    With p = (n/d)*a and q = (m/e)*b for primitive integer lists a and b,
+    G = gcd(a, b) divides each of them exactly in Z[H] (Gauss's lemma), so
+    p/g = (n*lc(G)/d) * (a/G), and likewise for q: two integer quotients,
+    each scaled by its integer content once."""
     if p.degree() and q.degree():
-        a, c = _primitive(p.terms)
-        b, e = _primitive(q.terms)
+        a, n, d = _primitive(p.terms)
+        b, m, e = _primitive(q.terms)
         g = _prs(a, b)
         if len(g) > 1:
             lc = g[0]
-            return (p._new(_scaled(g, Fraction(1, lc))),
-                    p._new(_scaled(_exquo(a, g), c * lc)),
-                    q._new(_scaled(_exquo(b, g), e * lc)))
-    return ONE, p, q
+            return (g, p._new(_scaled(_exquo(a, g), n * lc, d)),
+                    q._new(_scaled(_exquo(b, g), m * lc, e)))
+    return [1], p, q
 
 
 class RatFunc:
@@ -427,11 +429,14 @@ class RatFunc:
             # and d2 = g*e2 for g = gcd(d1, d2), only gcd(t, g) can divide
             # both t = n1*e2 + n2*e1 and e1*e2*g
             g, e1, e2 = _cofactors(self.den, other.den)
+            g = self.den._new(_scaled(g, 1, g[0]))
             t = self.num * e2 + other.num * e1
         if t.is_zero():
             return RatFunc(t)
         _, t, g = _cofactors(t, g)
-        return RatFunc._reduced(t, g if e1 is None else e1 * e2 * g)
+        if e1 is not None:  # a gcd of 1 is not multiplied in
+            g = e1 * e2 * g if g.degree() else e1 * e2
+        return RatFunc._reduced(t, g)
 
     __radd__ = __add__
 

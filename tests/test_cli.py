@@ -56,6 +56,8 @@ EXIT_CODE_CASES = [
     (["dedekind", "-1"], 2),
     (["dedekind", "6"], 1),  # enumeration limit
     (["project", "-n", "2", "d1", "--primes", "x"], 2),  # not an index list
+    (["normalize", "2^99999999999"], 1),  # power budget
+    (["apply", "d1", "--to", "(2*x1)^99999999"], 1),  # power budget, polynomial
 ]
 
 
@@ -184,6 +186,60 @@ def test_over_long_literal_is_a_parse_error_at_its_position(capsys):
     assert run(["normalize", "1" * 5000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.endswith("(at position 0)\n")
+
+
+def test_coefficient_too_long_to_print_is_a_limit():
+    # two literals inside int()'s digit limit whose product is beyond it
+    a = "9" * 4000
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-m", "intdiffop.cli", "normalize", f"{a}*{a}"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if not hasattr(sys, "get_int_max_str_digits"):  # an interpreter with no such limit
+        assert proc.returncode == 0 and proc.stdout == f"{int(a) ** 2}\n"
+        return
+    limit = sys.get_int_max_str_digits()
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: a coefficient of over {limit} digits to print\n"
+
+
+def test_power_beyond_the_coefficient_budget_is_refused_at_once(capsys):
+    # each squaring doubles the coefficient; the result would have 10^11 bits
+    start = time.perf_counter()
+    assert run(["normalize", "(3/2*d1)^99999999999"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a power with 99999999999-bit coefficients, beyond the limit 65536\n"
+    # a power of a unit has no coefficient growth
+    assert run(["normalize", "(-1)^99999999999"]) == 0
+    assert capsys.readouterr().out == "-1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["dedekind", "5"],  # output that is written only at exit
+    ["normalize", "(int1+d1+H1)^9"],  # output beyond the pipe's buffer
+], ids=["at-exit", "mid-run"])
+def test_closed_stdout_exits_1_without_a_traceback(args):
+    # the read end is closed before the command starts, as by `| head -c0`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-W", "error", "-m", "intdiffop.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 class TestIdealArguments:

@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -137,6 +137,75 @@ def typed(terms: dict) -> dict:
     return {d: (type(v), v) for d, v in terms.items()}
 
 
+# The rational-function kernels as they were with Fraction contents: each
+# integer list is scaled by a Fraction, every product is the term-by-term
+# `reference_mul`, and the gcd is made monic only to be discarded.
+
+def reference_primitive(terms: dict):
+    """(a, c): the term map as the Fraction content c > 0 times the
+    primitive integer list a, highest degree first; ([], 0) for zero."""
+    if not terms:
+        return [], Fraction(0)
+    den = lcm(*(v.denominator for v in terms.values()))
+    top = max(terms)
+    a = [0] * (top + 1)
+    for d, v in terms.items():
+        a[top - d] = v.numerator * (den // v.denominator)
+    g = gcd(*a)
+    return [c // g for c in a], Fraction(g, den)
+
+
+def reference_cofactors(p: PolyH, q: PolyH):
+    """(g, p/g, q/g) for the monic g = gcd(p, q) of nonzero p and q."""
+    if p.degree() and q.degree():
+        a, c = reference_primitive(p.terms)
+        b, e = reference_primitive(q.terms)
+        g = polyh._prs(a, b)
+        if len(g) > 1:
+            lc = g[0]
+            return (PolyH(reference_scaled(g, Fraction(1, lc))),
+                    PolyH(reference_scaled(polyh._exquo(a, g), c * lc)),
+                    PolyH(reference_scaled(polyh._exquo(b, g), e * lc)))
+    return PolyH.const(1), p, q
+
+
+def reference_ratfunc(num: PolyH, den: PolyH) -> RatFunc:
+    """num/den reduced, with den made monic by scaling both."""
+    if num.is_zero():
+        return RatFunc(num)
+    _, num, den = reference_cofactors(num, den)
+    inv = 1 / den.leading_coeff()
+    return RatFunc._reduced(num.scale(inv), den.scale(inv))
+
+
+def reference_ratfunc_mul(f: RatFunc, g: RatFunc) -> RatFunc:
+    """The crosswise product of reduced f and g."""
+    if f.is_zero() or g.is_zero():
+        return RatFunc(0)
+    _, n1, d2 = reference_cofactors(f.num, g.den)
+    _, n2, d1 = reference_cofactors(g.num, f.den)
+    return RatFunc._reduced(reference_mul(n1, n2), reference_mul(d1, d2))
+
+
+def reference_ratfunc_add(f: RatFunc, g: RatFunc) -> RatFunc:
+    """Henrici's sum of reduced f and g."""
+    if f.den == g.den:
+        e1 = None
+        common, t = f.den, f.num + g.num
+    else:
+        common, e1, e2 = reference_cofactors(f.den, g.den)
+        t = reference_mul(f.num, e2) + reference_mul(g.num, e1)
+    if t.is_zero():
+        return RatFunc(t)
+    _, t, common = reference_cofactors(t, common)
+    return RatFunc._reduced(t, common if e1 is None else reference_mul(reference_mul(e1, e2), common))
+
+
+def typed_ratfunc(f: RatFunc) -> tuple:
+    """The numerator and denominator term maps of f, each value with its type."""
+    return typed(f.num.terms), typed(f.den.terms)
+
+
 class TestIntegerFirstScaling:
     """`_scaled` in ints against the Fraction product per coefficient,
     values and types alike."""
@@ -146,9 +215,13 @@ class TestIntegerFirstScaling:
 
     def test_reference_maps(self):
         for p in reference_maps():
-            a, c = polyh._primitive(p.terms)
-            for s in [c, -c, *self.CONTENTS]:
-                assert typed(polyh._scaled(a, s)) == typed(reference_scaled(a, s)), (a, s)
+            a, n, d = polyh._primitive(p.terms)
+            for s in [Fraction(n, d), -Fraction(n, d), *self.CONTENTS]:
+                # the content in lowest terms, not in lowest terms, and over a
+                # negative denominator
+                for k in (1, 6, -1, -4):
+                    got = polyh._scaled(a, k * s.numerator, k * s.denominator)
+                    assert typed(got) == typed(reference_scaled(a, s)), (a, s, k)
 
     @pytest.mark.parametrize("s,want", [
         # negative, with a denominator that divides some entries but not all
@@ -163,10 +236,11 @@ class TestIntegerFirstScaling:
     ])
     def test_contents(self, s, want):
         a = [6, -4, 0, 3, 9, 1]
-        assert typed(polyh._scaled(a, s)) == want == typed(reference_scaled(a, s))
+        got = polyh._scaled(a, s.numerator, s.denominator)
+        assert typed(got) == want == typed(reference_scaled(a, s))
 
     def test_zero_list(self):
-        assert polyh._scaled([], Fraction(3, 4)) == {} == polyh._scaled([0, 0], Fraction(3, 4))
+        assert polyh._scaled([], 3, 4) == {} == polyh._scaled([0, 0], 3, 4)
 
 
 class TestEval:
@@ -565,11 +639,14 @@ class TestCofactors:
     def test_match_the_reference(self):
         nontrivial = 0
         for p, q in cofactor_pairs():
-            got, want = polyh._cofactors(p, q), ref_cofactors(p, q)
-            assert [x.terms for x in got] == [x.terms for x in want]
-            g, u, v = got
-            assert g * u == p and g * v == q and g.leading_coeff() == 1
-            assert all(type(c) in (int, Fraction) for x in got for c in x.terms.values())
+            G, u, v = polyh._cofactors(p, q)
+            g, want_u, want_v = ref_cofactors(p, q)
+            # G is the primitive gcd list, and g the monic gcd over it
+            assert all(type(c) is int for c in G) and gcd(*G) == 1
+            assert polyh._scaled(G, 1, G[0]) == g.terms
+            assert [u.terms, v.terms] == [want_u.terms, want_v.terms]
+            assert g * u == p and g * v == q
+            assert all(map(is_exact, [*u.terms.values(), *v.terms.values()]))
             nontrivial += g.degree() > 0
         assert nontrivial >= 100
 
@@ -581,10 +658,13 @@ class TestCofactors:
 
     def test_primitive_content(self):
         for p, _ in cofactor_pairs()[:40]:
-            a, c = polyh._primitive(p.terms)
+            a, n, d = polyh._primitive(p.terms)
             top = len(a) - 1
-            assert c > 0 and PolyH({top - i: x for i, x in enumerate(a)}).scale(c) == p
-        assert polyh._primitive({}) == ([], 0)
+            # the content n/d is a pair of ints in lowest terms, and a is primitive
+            assert type(n) is int and type(d) is int and n > 0 and d > 0 and gcd(n, d) == 1
+            assert all(type(x) is int for x in a) and gcd(*a) == 1
+            assert PolyH({top - i: x for i, x in enumerate(a)}).scale(Fraction(n, d)) == p
+        assert polyh._primitive({}) == ([], 0, 1)
 
 
 def fast_path_pairs():
@@ -641,6 +721,16 @@ class TestRatFuncFastPaths:
             sum_cancels += total.den.degree() < degrees and not total.is_zero()
         # the planted factors really cancel
         assert product_cancels >= 50 and sum_cancels >= 80
+
+    def test_kernels_match_the_fraction_reference(self):
+        # integer contents and integer cofactor lists give the values and
+        # the coefficient types of the Fraction-content kernels
+        for f, g in fast_path_pairs():
+            assert typed_ratfunc(f * g) == typed_ratfunc(reference_ratfunc_mul(f, g))
+            assert typed_ratfunc(f + g) == typed_ratfunc(reference_ratfunc_add(f, g))
+            assert typed_ratfunc(f - g) == typed_ratfunc(reference_ratfunc_add(f, -g))
+            n, d = f.num * g.den + g.num, g.den * f.den
+            assert typed_ratfunc(RatFunc(n, d)) == typed_ratfunc(reference_ratfunc(n, d))
 
     def test_rational_scalars(self):
         for f, _ in fast_path_pairs()[:60]:

@@ -1,9 +1,13 @@
-"""Property tests: the field identities of RatFunc and the skew Euclidean
-division, over inputs drawn by hypothesis.
+"""Property tests: the field identities of RatFunc, its kernels against the
+Fraction-content reference, the skew Euclidean division and the exit codes
+of the CLI on arbitrary text, over inputs drawn by hypothesis.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
-reproducible and takes under two seconds.
+reproducible and takes a few seconds.
 """
+
+import contextlib
+import io
 
 import pytest
 
@@ -11,7 +15,26 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from intdiffop import CalB1Element, PolyH, RatFunc, left_divide, length, right_divide  # noqa: E402
+from intdiffop import (  # noqa: E402
+    CalB1Element,
+    PolyH,
+    RatFunc,
+    cli,
+    left_divide,
+    length,
+    opparser,
+    right_divide,
+)
+from intdiffop.errors import IntDiffOpError, OperatorSyntaxError  # noqa: E402
+
+from test_polyh import (  # noqa: E402
+    reference_ratfunc,
+    reference_ratfunc_add,
+    reference_ratfunc_mul,
+    reference_shift,
+    typed,
+    typed_ratfunc,
+)
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -87,3 +110,81 @@ def test_left_division(b, c):
     assert b == c * q + r
     assert r.is_zero() or length(r) < length(c)
 
+
+
+@FIXED
+@given(skew(3), skew(2).filter(bool), st.integers(-3, 3))
+def test_kernels_match_the_fraction_reference(b, c, k):
+    # the coefficients of skew elements, of their quotient and remainder, and
+    # quotients of two of them, whose products cancel crosswise
+    q, r = right_divide(b, c)
+    fs = [f for x in (b, c, q, r) for f in x.terms.values()]
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        for x, y in [(f, g)] + ([(f, g * f.inverse())] if f else []):
+            assert typed_ratfunc(x * y) == typed_ratfunc(reference_ratfunc_mul(x, y))
+            assert typed_ratfunc(x + y) == typed_ratfunc(reference_ratfunc_add(x, y))
+            shifted = typed(reference_shift(x.num, k).terms), typed(reference_shift(x.den, k).terms)
+            assert typed_ratfunc(x.shift(k)) == shifted
+            if x:
+                assert typed_ratfunc(x.inverse()) == typed_ratfunc(reference_ratfunc(x.den, x.num))
+
+
+# Text over the grammar's alphabet: expressions built by the grammar, with
+# digit runs below and beyond the interpreter's 4,300-digit limit on int()
+# and powers whose coefficients outgrow what can be printed, wrapped in
+# parentheses below and beyond the nesting limit, and free runs of the
+# alphabet's pieces.
+DIGITS = st.one_of(
+    st.integers(0, 999999).map(str),
+    st.sampled_from([4000, 4301, 6000]).map(lambda k: "9" * k),
+)
+ATOMS = st.one_of(
+    DIGITS,
+    st.tuples(DIGITS, DIGITS).map("/".join),
+    st.sampled_from(["d1", "int1", "H1", "x1", "e1[0,1]", "e1[2,0]", "∂1", "∫1", "d2", "e1[1]"]),
+)
+EXPRESSIONS = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*", " * "]), inner).map("".join),
+    st.tuples(inner, DIGITS).map(lambda t: f"({t[0]})^{t[1]}"),
+    inner.map(lambda e: f"-{e}"),
+), max_leaves=6)
+PIECES = st.one_of(
+    st.sampled_from([*"0123456789+-*^()[],/ ", "d", "int", "H", "x", "e", "∂", "∫", "?", "²"]),
+    DIGITS,
+    EXPRESSIONS,
+)
+TEXTS = st.one_of(
+    EXPRESSIONS,
+    st.tuples(st.integers(1, 260), EXPRESSIONS).map(lambda t: "(" * t[0] + t[1] + ")" * t[0]),
+    st.lists(PIECES, max_size=12).map("".join),
+)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parses(text: str) -> bool:
+    try:
+        opparser._Parser(text).parse()
+    except OperatorSyntaxError:
+        return False
+    except IntDiffOpError:  # a negative exponent: parsed, and refused as a domain error
+        pass
+    return True
+
+
+@settings(FIXED, max_examples=300)
+@given(TEXTS)
+def test_any_text_exits_with_0_1_or_2(text):
+    # 0 prints a result, 1 and 2 print one line on stderr, and 2 is kept for
+    # text that does not parse or that argparse takes for an option
+    for argv in (["normalize", text], ["divide", "--right", text, "d1 + 1"]):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert (out != "", err.count("\n")) == ((True, 0) if code == 0 else (False, 1)), err
+        assert code != 2 or text.startswith("-") or not parses(text), err
