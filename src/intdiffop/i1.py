@@ -23,7 +23,7 @@ from math import comb, factorial, perm
 
 from .errors import LimitExceeded
 from .laurent import B1Element
-from .polyh import PolyH, nonneg_shifted_roots
+from .polyh import PolyH, _conv, nonneg_shifted_roots
 from .sparse import Sparse, _acc, _integral
 
 
@@ -112,12 +112,7 @@ def _mono_mul_into(m1, m2, out: dict, scale: Fraction | int):
         if not (u or v):
             _emit(out, (0, k1 + k2, j1 + j2), scale)
             return
-        p = [0] * (j1 + j2 + 1)
-        row = _binomial_row(v, j2)
-        for i, c in enumerate(_binomial_row(u, j1)):
-            if c:
-                for i2, c2 in enumerate(row, i):
-                    p[i2] += c * c2
+        p = _conv(_binomial_row(u, j1), _binomial_row(v, j2))
         for i, c in enumerate(p):
             if c:
                 _emit(out, (0, k1 + k2, i), scale * c)

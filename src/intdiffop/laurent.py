@@ -3,8 +3,8 @@
 Elements are sparse maps Laurent-degree -> coefficient, representing
 sum alpha_d(H) * D^d with the commutation rule D^d * alpha(H) = alpha(H+d) * D^d.
 Coefficients are PolyH (integral version) or RatFunc (field version); over
-K(H) the algebra is a noncommutative Euclidean domain with the length
-function and left/right division with remainder.
+K(H) the algebra is a noncommutative Euclidean domain for the length
+function, and one division loop serves both sides.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class _Skew(Sparse):
 
     def to_text(self, dvar: str = "D", hvar: str = "H") -> str:
         segs = []
-        for d in sorted(self.terms, reverse=True):
-            body = self.terms[d].to_text(hvar)
+        for d, c in sorted(self.terms.items(), reverse=True):
+            body = c.to_text(hvar)
             sign = -1 if body.startswith("-") else 1
-            body = body.removeprefix("-")
             factors = power_text(dvar, d)
+            # -c is bracketed after the sign; terms at D^0 join the sum as they are
+            body = (-c).to_text(hvar) if sign < 0 and factors else body.removeprefix("-")
             if factors and body != "1":
                 # a coefficient that is a sum or a quotient is bracketed
                 if "+" in body or "-" in body or "/" in body:
@@ -91,55 +92,39 @@ def length(b):
     return b.top_degree() - min(b.terms)
 
 
-def _divisor(c: CalB1Element):
-    """(length, top degree, 1/gamma, tail) of a nonzero divisor c with top
-    coefficient gamma; the tail is c without its top term."""
+def _divide(b: CalB1Element, c: CalB1Element, left: bool):
+    """b = c*q + r (left) or b = q*c + r (right), r = 0 or length(r) < length(c).
+
+    Each step takes the mu D^s for which c * mu D^s (left) or mu D^s * c
+    (right) has the remainder's top term; for gamma the top coefficient of
+    c, c * mu D^s has gamma * tau^dc(mu) on top.  That term cancels, so the
+    step drops it and subtracts only the tail of c (c minus its top term)
+    times mu D^s.  gamma is inverted once: tau^s(1/gamma) = 1/tau^s(gamma).
+    """
     if c.is_zero():
         raise DivisionByZero("division by zero in the skew Laurent algebra")
-    dc = c.top_degree()
+    lc, dc = length(c), c.top_degree()
     tail = dict(c.terms)
-    # one inverse of gamma per division: tau is an automorphism, so
-    # tau^s(1/gamma) = 1/tau^s(gamma)
     inv = tail.pop(dc).inverse()
-    return length(c), dc, inv, c._new(tail)
+    tail = c._new(tail)
+    q = {}
+    r = b
+    while r and length(r) >= lc:
+        rest = dict(r.terms)
+        dr = max(rest)
+        s = dr - dc
+        top = rest.pop(dr)
+        mu = q[s] = (top * inv).shift(-dc) if left else top * inv.shift(s)
+        step = r._new({s: mu})
+        r = r._new(rest) - (tail * step if left else step * tail)
+    return CalB1Element(q), r
 
 
 def right_divide(b: CalB1Element, c: CalB1Element):
-    """b = q*c + r with r = 0 or length(r) < length(c).
-
-    Each step picks mu D^s so that mu D^s * c has the remainder's top term.
-    That term cancels by construction, so the step drops it from the
-    remainder and subtracts only mu D^s times the tail of c.  Each step
-    strictly shrinks the length of the remainder, so termination is
-    immediate.
-    """
-    lc, dc, inv, tail = _divisor(c)
-    q = {}
-    r = b
-    while r and length(r) >= lc:
-        rest = dict(r.terms)
-        dr = max(rest)
-        shift = dr - dc
-        mu = q[shift] = rest.pop(dr) * inv.shift(shift)
-        r = r._new(rest) - r._new({shift: mu}) * tail
-    return CalB1Element(q), r
+    """b = q*c + r with r = 0 or length(r) < length(c)."""
+    return _divide(b, c, left=False)
 
 
 def left_divide(b: CalB1Element, c: CalB1Element):
-    """b = c*q + r with r = 0 or length(r) < length(c).
-
-    The mirror of `right_divide`: each step drops the remainder's top term
-    and subtracts only the tail of c times mu D^s.
-    """
-    lc, dc, inv, tail = _divisor(c)
-    q = {}
-    r = b
-    while r and length(r) >= lc:
-        rest = dict(r.terms)
-        dr = max(rest)
-        shift = dr - dc
-        # c * mu D^shift has top coefficient gamma * tau^dc(mu), gamma the
-        # top coefficient of c
-        mu = q[shift] = (rest.pop(dr) * inv).shift(-dc)
-        r = r._new(rest) - tail * r._new({shift: mu})
-    return CalB1Element(q), r
+    """b = c*q + r with r = 0 or length(r) < length(c)."""
+    return _divide(b, c, left=True)

@@ -143,6 +143,16 @@ def _exquo(a: list, b: list) -> list:
     return q
 
 
+def _conv(a: list, b: list) -> list:
+    """The product of integer lists a and b, both in the same degree order."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _scaled(a: list, n: int, d: int) -> dict:
     """The term map of n/d times the integer list a, for ints n and d != 0,
     in Python ints: each product with n stays an int when d divides it, and
@@ -193,17 +203,15 @@ class PolyH(Sparse):
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
-        # one convolution of the primitive integer lists, scaled once by the
-        # product of the contents, which multiply as ints
+        # a product by the constant 1 is the other operand, with no list built
+        if self.terms == ONE.terms:
+            return other
+        if other.terms == ONE.terms:
+            return self
+        # one convolution of the primitive lists, scaled once by the contents' int product
         a, n, d = _primitive(self.terms)
         b, m, e = _primitive(other.terms)
-        out = [0] * (len(a) + len(b) - 1)
-        nonzero = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nonzero:
-                    out[i + j] += x * y
-        return self._new(_scaled(out, n * m, d * e))
+        return self._new(_scaled(_conv(a, b), n * m, d * e))
 
     __rmul__ = __mul__
 
@@ -434,8 +442,8 @@ class RatFunc:
         if t.is_zero():
             return RatFunc(t)
         _, t, g = _cofactors(t, g)
-        if e1 is not None:  # a gcd of 1 is not multiplied in
-            g = e1 * e2 * g if g.degree() else e1 * e2
+        if e1 is not None:
+            g = e1 * e2 * g
         return RatFunc._reduced(t, g)
 
     __radd__ = __add__

@@ -156,16 +156,7 @@ class Sparse:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        coerce = self._coerce
-        for k, v in other.terms.items():
-            w = out.get(k)
-            w = -v if w is None else coerce(w - v)
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        return self._new(out)
+        return self + -other
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):

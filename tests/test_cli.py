@@ -27,6 +27,7 @@ GOLDEN_CASES = [
     ("10_dedekind.txt", ["dedekind", "3"]),
     ("11_divide.txt", ["divide", "--right", "d1 + H1", "d1 + 1"]),
     ("12_check.txt", ["check", "relations"]),
+    ("13_divide_left.txt", ["divide", "--left", "d1^2 - H1*d1 - d1", "d1 + H1"]),
 ]
 
 EXIT_CODE_CASES = [

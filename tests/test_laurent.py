@@ -35,6 +35,13 @@ class TestText:
         (B1Element({1: H * Fraction(1, 2)}), "(1/2*H1)*D"),
         (B1Element({-2: -H, 0: -1}), "-1 - H1*D^-2"),
         (CalB1Element({2: -RatFunc(1, H)}), "-(1/H1)*D^2"),
+        # a bracketed coefficient with a negative leading term keeps the signs
+        # of its other terms; D^0 terms join the sum unbracketed
+        (B1Element({1: -2 * H - 1}), "-(2*H1 + 1)*D"),
+        (B1Element({2: -H * H + H - 1}), "-(H1^2 - H1 + 1)*D^2"),
+        (B1Element({1: H, 0: -2 * H - 1, -1: -3 * H + 2}), "H1*D - 2*H1 - 1 - (3*H1 - 2)*D^-1"),
+        (CalB1Element({1: RatFunc(-H - 1, H + 3), -1: RatFunc(-H, H + 3)}),
+         "((-H1 - 1)/(H1 + 3))*D - (H1/(H1 + 3))*D^-1"),
     ])
     def test_to_text(self, b, text):
         assert b.to_text("D", "H1") == text

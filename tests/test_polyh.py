@@ -114,6 +114,17 @@ class TestIntegerListArithmetic:
                 assert got.terms == reference_shift(p, k).terms
                 assert_clean(got)
 
+    def test_product_by_one_builds_no_primitive_list(self, monkeypatch):
+        maps = reference_maps()
+        calls = []
+        primitive = polyh._primitive
+        monkeypatch.setattr(polyh, "_primitive", lambda t: calls.append(t) or primitive(t))
+        one = PolyH.const(1)
+        for p in maps:
+            assert one * p is p and p * one == p
+        assert calls == []
+        assert one * one == 1 and one * Fraction(2, 3) == Fraction(2, 3)
+
     def test_kinds(self):
         maps = reference_maps()
         ints = [p for p in maps if all(type(v) is int for v in p.terms.values())]

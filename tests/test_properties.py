@@ -1,6 +1,7 @@
 """Property tests: the field identities of RatFunc, its kernels against the
-Fraction-content reference, the skew Euclidean division and the exit codes
-of the CLI on arbitrary text, over inputs drawn by hypothesis.
+Fraction-content reference, the ring axioms of every element type, the skew
+Euclidean division, the value of printed skew text and the exit codes of the
+CLI on arbitrary text, over inputs drawn by hypothesis.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 reproducible and takes a few seconds.
@@ -8,6 +9,8 @@ reproducible and takes a few seconds.
 
 import contextlib
 import io
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,17 +19,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from intdiffop import (  # noqa: E402
+    B1Element,
     CalB1Element,
+    DiffMon,
+    HMon,
+    I1Element,
+    InElement,
+    IntMon,
+    MatUnit,
     PolyH,
     RatFunc,
     cli,
     left_divide,
     length,
     opparser,
+    project_modulo_prime,
     right_divide,
 )
 from intdiffop.errors import IntDiffOpError, OperatorSyntaxError  # noqa: E402
 
+from conftest import matrix_oracle_agrees  # noqa: E402
 from test_polyh import (  # noqa: E402
     reference_ratfunc,
     reference_ratfunc_add,
@@ -93,6 +105,84 @@ def test_agreement_with_the_normaliser(a, b, p):
     for r in (a + b, a * b, a + c):
         assert r.den.leading_coeff() == 1
         assert r.num.gcd(r.den) == 1 or r.is_zero()
+
+
+@st.composite
+def polynomial_skew(draw, max_span=3):
+    """A B1Element whose coefficients are polynomials of up to four terms."""
+    lo = draw(st.integers(-2, 1))
+    span = draw(st.integers(0, max_span))
+    return B1Element({d: draw(polys()) for d in range(lo, lo + span + 1)})
+
+
+def text_value(text: str, h: Fraction, d: Fraction) -> Fraction:
+    """The printed text of a skew element evaluated exactly at H = h and
+    D = d: every integer literal is read as a Fraction and `^` as `**`."""
+    expr = re.sub(r"\d+", r"Fraction(\g<0>)", text).replace("^", "**")
+    return eval(expr, {"Fraction": Fraction, "H": h, "D": d})
+
+
+def coefficient_value(x, h: Fraction, d: Fraction) -> Fraction:
+    """The coefficient map of x evaluated at H = h with D commuting."""
+    total = Fraction(0)
+    for k, c in x.terms.items():
+        v = c(h) if isinstance(c, PolyH) else c.num(h) / c.den(h)
+        total += v * d ** k
+    return total
+
+
+POINTS = st.fractions(min_value=-7, max_value=7, max_denominator=11)
+
+
+@settings(FIXED, max_examples=60)
+@given(st.one_of(polynomial_skew(), skew(2)), POINTS, POINTS.filter(bool))
+def test_printed_text_has_the_value_of_the_element(x, h, d):
+    # every coefficient prints to the left of its D-power, so the text read
+    # with D commuting is the coefficient map read the same way
+    assume(all(c.den(h) for c in x.terms.values() if isinstance(c, RatFunc)))
+    assert text_value(x.to_text(), h, d) == coefficient_value(x, h, d), x.to_text()
+
+
+# Ring axioms of every element type: I1Element, InElement at n = 2 in full
+# and in quotient mode, and CalB1Element.
+MONOS = st.one_of(
+    st.builds(DiffMon, st.integers(0, 2), st.integers(1, 2)),
+    st.builds(HMon, st.integers(0, 2)),
+    st.builds(IntMon, st.integers(1, 2), st.integers(0, 2)),
+    st.builds(MatUnit, st.integers(0, 2), st.integers(0, 2)),
+)
+I1S = st.dictionaries(MONOS, coeffs, max_size=3).map(I1Element)
+IN2 = st.dictionaries(st.tuples(MONOS, MONOS), coeffs, max_size=2).map(lambda t: InElement(2, t))
+
+
+def check_ring_axioms(a, b, c, one):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a - b == a + (-b)
+    assert (a - b) + b == a and (a - a).is_zero()
+    assert one * a == a * one == a
+
+
+@FIXED
+@given(I1S, I1S, I1S)
+def test_ring_axioms_i1(a, b, c):
+    check_ring_axioms(a, b, c, I1Element.from_scalar(1))
+    assert matrix_oracle_agrees([a, b], a * b)
+
+
+@FIXED
+@given(IN2, IN2, IN2, st.sampled_from([(), (1,), (2,), (1, 2)]))
+def test_ring_axioms_n2(a, b, c, primes):
+    # an empty index set keeps the full algebra
+    a, b, c = (project_modulo_prime(x, primes) for x in (a, b, c))
+    check_ring_axioms(a, b, c, InElement.one(2, a.modes))
+
+
+@FIXED
+@given(skew(1), skew(1), skew(1))
+def test_ring_axioms_calb1(a, b, c):
+    check_ring_axioms(a, b, c, CalB1Element({0: 1}))
 
 
 @FIXED
