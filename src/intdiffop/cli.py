@@ -12,7 +12,7 @@ import sys
 
 from . import lattice
 from .errors import IntDiffOpError, OperatorSyntaxError
-from .laurent import left_divide, length, right_divide
+from .laurent import left_divide, right_divide
 from .i1 import project_B1
 from .lattice import IdealAntichain, dedekind_bounds, enumerate_ideals
 from .opparser import format_operator, format_poly, parse_operator, parse_poly

@@ -49,6 +49,9 @@ def MatUnit(s: int, t: int) -> tuple:
 
 _UNIT = HMon(0)
 
+# the word of each generator but the matrix units, by its name in text
+GEN_MONOS = {"x": IntMon(1, 1), "d": DiffMon(0, 1), "int": IntMon(1, 0), "H": HMon(1)}
+
 
 def mono_degree(m) -> int:
     """Degree in the Z-grading: deg d = -1, deg int = +1, deg e[s,t] = s - t."""
@@ -134,6 +137,15 @@ def _mono_mul_into(m1, m2, out: dict, scale: Fraction | int):
         _emit(out, (1, k1, j2), scale)
 
 
+def _words_mul(a: dict, b: dict) -> dict:
+    """The product of two maps word -> coefficient, before `_integral`."""
+    out = {}
+    for m1, v1 in a.items():
+        for m2, v2 in b.items():
+            _mono_mul_into(m1, m2, out, v1 * v2)
+    return out
+
+
 def mono_mul(m1, m2) -> "I1Element":
     out = {}
     _mono_mul_into(m1, m2, out, 1)
@@ -165,11 +177,7 @@ class I1Element(Sparse):
             return self.scale(other)
         if not isinstance(other, I1Element):
             return NotImplemented
-        out = {}
-        for m1, v1 in self.terms.items():
-            for m2, v2 in other.terms.items():
-                _mono_mul_into(m1, m2, out, v1 * v2)
-        return self._new(_integral(out))
+        return self._new(_integral(_words_mul(self.terms, other.terms)))
 
     # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
     __pow__ = Sparse.__pow__
@@ -195,11 +203,7 @@ class I1Element(Sparse):
 
 def generators():
     """(d, int, H, x) with x = int*H."""
-    partial = I1Element.from_mono(DiffMon(0, 1))
-    integ = I1Element.from_mono(IntMon(1, 0))
-    h = I1Element.from_mono(HMon(1))
-    x = I1Element.from_mono(IntMon(1, 1))
-    return partial, integ, h, x
+    return tuple(I1Element.from_mono(GEN_MONOS[g]) for g in ("d", "int", "H", "x"))
 
 
 def idempotent_sum(n: int) -> I1Element:

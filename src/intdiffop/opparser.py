@@ -16,6 +16,9 @@ multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
 which also bounds the recursion of the evaluator over the parsed tree.  A
 power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
+Generators at different factors commute, so a product's leading literals,
+generators and powers of generators are multiplied as one I1 word map per
+factor and expanded once; sums and their powers are multiplied as elements.
 """
 
 from __future__ import annotations
@@ -24,23 +27,14 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import prod
 
 from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
+from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, I1Element, MatUnit, _words_mul
 from .polyh import join_terms, poly_terms, power_text, term_text
-from .sparse import _bounded_product
-from .tensor import (
-    InElement,
-    MODE_FULL,
-    MODE_QUOT,
-    PolyXn,
-    gen_e,
-    gen_h,
-    gen_integ,
-    gen_partial,
-    gen_x,
-)
+from .sparse import _acc, _bounded_product, _integral
+from .tensor import MAX_TERMS, MODE_FULL, MODE_QUOT, InElement, PolyXn, _expand_into, _gen
 
-_GEN_KINDS = ("x", "d", "int", "H", "e")
 MAX_DEPTH = 200
 MAX_POWER_BITS = 1 << 16
 
@@ -71,7 +65,7 @@ def _tokenize(src: str):
             try:
                 if den and not int(den):
                     raise OperatorSyntaxError("zero denominator in literal", pos)
-                value = Fraction(int(num), int(den or 1))
+                value = Fraction(int(num), int(den)) if den else int(num)
             except ValueError:
                 # int() refuses more digits than the interpreter's limit
                 limit = sys.get_int_max_str_digits()
@@ -81,7 +75,7 @@ def _tokenize(src: str):
             out.append(Token("op", text, pos))
         elif kind == "word":
             name = _ALIASES.get(text, text)
-            if name not in _GEN_KINDS:
+            if name not in GEN_MONOS and name != "e":
                 raise OperatorSyntaxError(f"unknown symbol {name!r}", pos)
             out.append(Token("genkind", name, pos))
         else:
@@ -219,37 +213,70 @@ def _evaluate(node, one, leaf):
                 f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")
         return base ** node.exp
     if isinstance(node, Mul):
-        acc = one
-        for f in node.factors:
+        acc, rest = _fold(node.factors, one) if isinstance(one, InElement) else (one, node.factors)
+        for f in rest:
             acc = _bounded_product(acc, _evaluate(f, one, leaf))
         return acc
-    acc = one.scale(0)
+    if len(node.parts) == 1:
+        return _evaluate(node.parts[0][1], one, leaf)
+    out = {}
     for sign, part in node.parts:
-        v = _evaluate(part, one, leaf)
-        acc = acc + v if sign > 0 else acc - v
-    return acc
+        for k, v in _evaluate(part, one, leaf).terms.items():
+            _acc(out, k, v if sign > 0 else -v)
+    return one._new(_integral(out))
 
 
-def _check_index(g: Gen, n: int):
+def _word(g: Gen, n: int) -> tuple:
+    """The I1 word of the generator g, whose index must lie in 1..n."""
     if not 1 <= g.index <= n:
         raise IndexOutOfRange(f"index {g.index} outside 1..{n}", g.pos)
+    return MatUnit(g.row, g.col) if g.kind == "e" else GEN_MONOS[g.kind]
 
 
-_OPERATOR_GENS = {"x": gen_x, "d": gen_partial, "int": gen_integ, "H": gen_h}
+def _fold(factors, one: InElement):
+    """The product of the leading literals, generators and powers of
+    generators, each maybe negated, among the factors, and the factors left.
+    Generators at different factors commute, so it is a rational times one I1
+    word map per factor, expanded once.  A power is taken as in I1 (x^k has k
+    terms, so none meets MAX_TERMS), and a generator ends the fold as an
+    element product when another map has several words or its word pairs
+    could emit over MAX_TERMS terms (a pair emits at most MAX_DEGREE + 1), so
+    the terms, their order and the errors are those of element products."""
+    n, c, maps = one.n, 1, [{_UNIT: 1}] * one.n
+
+    def value(c, maps):
+        return one._new(_integral(_expand_into({}, maps, c)))
+
+    for k, f in enumerate(factors):
+        while isinstance(f, Neg):
+            f, c = f.arg, -c
+        if isinstance(f, Num):
+            c *= f.value
+            continue
+        g = f.base if isinstance(f, Pow) else f
+        if not isinstance(g, Gen):
+            return value(c, maps), (f, *factors[k + 1:])
+        tag, a, b = word = _word(g, n)
+        w = {word: 1}
+        if g is not f:  # d^k, int^k and H^k within MAX_DEGREE: one word, no product can fail
+            w = {(0, a * f.exp, b * f.exp): 1} if not (tag or a * b) and f.exp <= MAX_DEGREE else (
+                I1Element(w) ** f.exp).terms
+        if not (c and all(maps)):
+            continue
+        m = maps[i := g.index - 1]
+        if prod(map(len, maps)) > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
+            v = value(1, [w if j == i else {_UNIT: 1} for j in range(n)])
+            return _bounded_product(value(c, maps), v), factors[k + 1:]
+        maps[i] = _words_mul(m, w)
+    return value(c, maps), ()
 
 
 def parse_operator(src: str, n: int = 1) -> InElement:
     """Parse an operator expression into its canonical element over n factors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def leaf(g: Gen) -> InElement:
-        _check_index(g, n)
-        if g.kind == "e":
-            return gen_e(n, g.index, g.row, g.col)
-        return _OPERATOR_GENS[g.kind](n, g.index)
-
-    return _evaluate(_Parser(src).parse(), InElement.one(n), leaf)
+    return _evaluate(_Parser(src).parse(), InElement.one(n),
+                     lambda g: _gen(n, g.index, _word(g, n)))
 
 
 def parse_poly(src: str, n: int = 1) -> PolyXn:
@@ -262,7 +289,7 @@ def parse_poly(src: str, n: int = 1) -> PolyXn:
             raise OperatorSyntaxError(
                 f"only x generators are allowed in polynomials, got {g.kind!r}", g.pos
             )
-        _check_index(g, n)
+        _word(g, n)  # refuses an index outside 1..n
         return PolyXn.monomial(n, [int(k == g.index - 1) for k in range(n)])
 
     return _evaluate(_Parser(src).parse(), PolyXn.one(n), leaf)

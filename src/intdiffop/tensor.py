@@ -17,10 +17,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyFactorList, LimitExceeded, ModeMismatch
 from .i1 import (
-    DiffMon,
-    HMon,
+    GEN_MONOS,
     I1Element,
-    IntMon,
     MatUnit,
     _UNIT,
     _mono_apply,
@@ -52,14 +50,14 @@ def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
         del out[m]
 
 
-def _expand_into(out: dict, factor_maps, c):
+def _expand_into(out: dict, factor_maps, c) -> dict:
     """Accumulate c times the tensor product of the per-factor maps
-    (monomial -> coefficient) into `out`; an empty map makes it zero.
-    Refuses to let `out` and the expansion grow beyond MAX_TERMS terms."""
+    (monomial -> coefficient) into `out` and return it; an empty map makes it
+    zero.  Refuses to let `out` and the expansion grow beyond MAX_TERMS."""
     partial = [((), c)]
     for fk in factor_maps:
         if not fk:
-            return
+            return out
         if len(out) + len(partial) * len(fk) > MAX_TERMS:
             raise LimitExceeded(f"a product of more than {MAX_TERMS} terms")
         partial = [
@@ -69,6 +67,7 @@ def _expand_into(out: dict, factor_maps, c):
         ]
     for tup, v in partial:
         _acc(out, tup, v)
+    return out
 
 
 # bench/tracing.py patches it by name (tests/test_trace_points.py)
@@ -175,9 +174,7 @@ def tensor(factors) -> InElement:
         raise EmptyFactorList("tensor of zero factors")
     if not all(isinstance(f, I1Element) for f in factors):
         raise ModeMismatch("tensor factors must be full-mode elements")
-    out = {}
-    _expand_into(out, (f.terms for f in factors), Fraction(1))
-    return InElement(len(factors), out)
+    return InElement(len(factors), _expand_into({}, (f.terms for f in factors), Fraction(1)))
 
 
 def from_i1(a: I1Element) -> InElement:
@@ -191,16 +188,16 @@ def to_i1(a: InElement) -> I1Element:
 
 
 def gen_partial(n: int, i: int) -> InElement:
-    return _gen(n, i, DiffMon(0, 1))
+    return _gen(n, i, GEN_MONOS["d"])
 
 def gen_integ(n: int, i: int) -> InElement:
-    return _gen(n, i, IntMon(1, 0))
+    return _gen(n, i, GEN_MONOS["int"])
 
 def gen_h(n: int, i: int) -> InElement:
-    return _gen(n, i, HMon(1))
+    return _gen(n, i, GEN_MONOS["H"])
 
 def gen_x(n: int, i: int) -> InElement:
-    return _gen(n, i, IntMon(1, 1))
+    return _gen(n, i, GEN_MONOS["x"])
 
 def gen_e(n: int, i: int, s: int, t: int) -> InElement:
     return _gen(n, i, MatUnit(s, t))

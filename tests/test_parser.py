@@ -184,6 +184,19 @@ class TestRoundTrip:
             a = rand_in(rng, n, terms=3)
             assert parse_operator(format_operator(a), n) == a
 
+    def test_canonical_products_multiply_no_elements(self, monkeypatch):
+        # canonical text at n = 3, as the benchmark's CLI commands read it, is
+        # a sum of products of a literal and generator powers; each product
+        # folds into one word per factor without an element product
+        rng = random.Random(84)
+        elements = [rand_in(rng, 3, terms=4, jmax=3, imax=3, emax=3) for _ in range(200)]
+        calls = []
+        mul = InElement.__mul__
+        monkeypatch.setattr(InElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        for a in elements:
+            assert parse_operator(format_operator(a), 3) == a
+        assert calls == []
+
     def test_poly_round_trip(self):
         rng = random.Random(83)
         for _ in range(200):

@@ -1,7 +1,8 @@
 """Property tests: the field identities of RatFunc, its kernels against the
 Fraction-content reference, the ring axioms of every element type, the skew
-Euclidean division, the value of printed skew text and the exit codes of the
-CLI on arbitrary text, over inputs drawn by hypothesis.
+Euclidean division, the value of printed skew text, the exit codes of the
+CLI on arbitrary text and the parser's values against element products, over
+inputs drawn by hypothesis.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 reproducible and takes a few seconds.
@@ -30,13 +31,24 @@ from intdiffop import (  # noqa: E402
     PolyH,
     RatFunc,
     cli,
+    gen_e,
+    gen_h,
+    gen_integ,
+    gen_partial,
+    gen_x,
     left_divide,
     length,
     opparser,
     project_modulo_prime,
     right_divide,
 )
-from intdiffop.errors import IntDiffOpError, OperatorSyntaxError  # noqa: E402
+from intdiffop.errors import (  # noqa: E402
+    IndexOutOfRange,
+    IntDiffOpError,
+    LimitExceeded,
+    OperatorSyntaxError,
+)
+from intdiffop.sparse import _bounded_product  # noqa: E402
 
 from conftest import matrix_oracle_agrees  # noqa: E402
 from test_polyh import (  # noqa: E402
@@ -278,3 +290,99 @@ def test_any_text_exits_with_0_1_or_2(text):
         assert code in (0, 1, 2)
         assert (out != "", err.count("\n")) == ((True, 0) if code == 0 else (False, 1)), err
         assert code != 2 or text.startswith("-") or not parses(text), err
+
+
+def reference_operator(text: str, n: int):
+    """The value of operator text by element products one factor at a time
+    and sums one part at a time, each generator an element of its own: the
+    evaluation that folding products into one word per factor replaces."""
+    one = InElement.one(n)
+    gens = {"x": gen_x, "d": gen_partial, "int": gen_integ, "H": gen_h}
+
+    def value(node):
+        if isinstance(node, opparser.Num):
+            return one.scale(node.value)
+        if isinstance(node, opparser.Gen):
+            if not 1 <= node.index <= n:
+                raise IndexOutOfRange(f"index {node.index} outside 1..{n}", node.pos)
+            if node.kind == "e":
+                return gen_e(n, node.index, node.row, node.col)
+            return gens[node.kind](n, node.index)
+        if isinstance(node, opparser.Neg):
+            return -value(node.arg)
+        if isinstance(node, opparser.Pow):
+            base = value(node.base)
+            c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
+            if (bits := node.exp * (c.bit_length() - 1)) > opparser.MAX_POWER_BITS:
+                raise LimitExceeded(
+                    f"a power with {bits}-bit coefficients, beyond the limit {opparser.MAX_POWER_BITS}")
+            return base ** node.exp
+        if isinstance(node, opparser.Mul):
+            acc = one
+            for f in node.factors:
+                acc = _bounded_product(acc, value(f))
+            return acc
+        acc = one.scale(0)
+        for sign, part in node.parts:
+            v = value(part)
+            acc = acc + v if sign > 0 else acc - v
+        return acc
+
+    return value(opparser._Parser(text).parse())
+
+
+def outcome(evaluate, text: str, n: int):
+    """The terms in their order with each coefficient's type, or the class
+    and message of the error."""
+    try:
+        a = evaluate(text, n)
+    except IntDiffOpError as exc:
+        return type(exc), str(exc)
+    return [(k, v, type(v)) for k, v in a.terms.items()]
+
+
+def operator_texts(n: int):
+    """Text over n factors: generators, matrix units, literals (6/3 is an
+    integer), powers 0..4, unary minus, parentheses, products and sums."""
+    atoms = st.one_of(
+        st.builds("{}{}".format, st.sampled_from(["x", "d", "int", "H"]), st.integers(1, n)),
+        st.builds("e{}[{},{}]".format, st.integers(1, n), st.integers(0, 3), st.integers(0, 3)),
+        st.sampled_from(["0", "1", "3", "1/2", "3/4", "6/3"]),
+    )
+    powers = st.one_of(atoms, st.builds("{}^{}".format, atoms, st.integers(0, 4)))
+    return st.recursive(powers, lambda inner: st.one_of(
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-"), inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 4)),
+    ), max_leaves=8)
+
+
+@settings(FIXED, max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), operator_texts(n))))
+def test_parsed_operators_match_element_products(case):
+    n, text = case
+    assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)
+
+
+# budgets, and products whose fold ends early
+@pytest.mark.parametrize("n,text", [
+    (1, "int1^100000*d1^100000"),  # a power's squaring passes MAX_DEGREE
+    (1, "0*int1^100000"),  # a factor is evaluated after a zero
+    (2, "e1[0,1]^2*d2^999*d2^5"),  # a zero power multiplies nothing after it
+    (2, "d2*H2*d1*H1"),  # two factors with several words keep their term order
+    (2, "-(d1 + H2)*-x1^2*e2[1,0]"),
+    (1, "H1^5*e1[996,0]"),
+    (1, "(H1^5)*e1[1001,0]"),
+    (1, "-e1[500,501]"),
+    (2, "x1*d2*x2*d1^999"),
+    (2, "d1*d3"),
+    (1, "3^70000*d1"),
+    (1, "(d1 + int1 + H1)^32"),  # MAX_POWER_PAIRS
+    (3, "d1*H1^40*d2*H2^40*d3*H3^40"),  # MAX_TERMS after words spread over factors
+    (3, "x2^40*x3^40*d1^5*H1^30"),  # MAX_TERMS
+    (1, "d1*H1^40*d1^3"),  # a word map too large to fold on
+])
+def test_fold_edges_match_element_products(n, text):
+    assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)
