@@ -10,7 +10,9 @@ Grammar (EBNF):
 
 The factor index is mandatory and must lie in 1..n.  Rational literals are
 `p` or `p/q` in decimal digits (the slash is lexer-level, never a division
-operator).  Any other character is a parse error at its position.  `^`
+operator).  Any other character is a parse error at its position; the whole
+text is tokenized into (kind, value, pos) tuples first, so a lexical error is
+reported ahead of a syntax error earlier in the text.  `^`
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
@@ -18,7 +20,9 @@ which also bounds the recursion of the evaluator over the parsed tree.  A
 power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
 Generators at different factors commute, so a product's leading literals,
 generators and powers of generators are multiplied as one I1 word map per
-factor and expanded once; sums and their powers are multiplied as elements.
+factor and expanded once, with x^k = int^k H(H+1)...(H+k-1) in closed form;
+sums and their powers are multiplied as elements.  A bad n is refused by the
+element constructors, ahead of any error in the text.
 """
 
 from __future__ import annotations
@@ -27,23 +31,24 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
 from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, I1Element, MatUnit, _words_mul
 from .polyh import join_terms, poly_terms, power_text, term_text
-from .sparse import _acc, _bounded_product, _integral
+from .sparse import MAX_POWER_PAIRS, _acc, _bounded_product, _integral
 from .tensor import MAX_TERMS, MODE_FULL, MODE_QUOT, InElement, PolyXn, _expand_into, _gen
 
 MAX_DEPTH = 200
 MAX_POWER_BITS = 1 << 16
 
+# Powering x^k multiplies x^r by x^b with r + b <= k, which pairs at most
+# k^2/4 terms of at most 2k letters; up to here no such product is refused,
+# so x^k is taken in closed form (k = 362).
+MAX_X_POWER = min(isqrt(4 * MAX_POWER_PAIRS), MAX_DEGREE // 2)
+
 
 # ---------------------------------------------------------------- tokens
-
-# kind is 'num', 'genkind', 'op' or 'end'
-Token = namedtuple("Token", "kind value pos")
-
 
 # One alternative per token kind; finditer skips only whitespace, since
 # every other character matches `bad` at worst.  \d is exactly the decimal
@@ -54,7 +59,9 @@ _TOKEN = re.compile(
 _ALIASES = {"∂": "d", "∫": "int"}
 
 
-def _tokenize(src: str):
+def _tokenize(src: str) -> list:
+    """The (kind, value, pos) tokens of src, kind 'num', 'genkind', 'op' or
+    'end'; a lexical error anywhere is raised before any is parsed."""
     out = []
     for m in _TOKEN.finditer(src):
         kind, text, pos = m.lastgroup, m.group(), m.start()
@@ -70,17 +77,17 @@ def _tokenize(src: str):
                 # int() refuses more digits than the interpreter's limit
                 limit = sys.get_int_max_str_digits()
                 raise OperatorSyntaxError(f"more than {limit} digits in literal", pos) from None
-            out.append(Token("num", value, pos))
+            out.append(("num", value, pos))
         elif kind == "op":
-            out.append(Token("op", text, pos))
+            out.append(("op", text, pos))
         elif kind == "word":
             name = _ALIASES.get(text, text)
             if name not in GEN_MONOS and name != "e":
                 raise OperatorSyntaxError(f"unknown symbol {name!r}", pos)
-            out.append(Token("genkind", name, pos))
+            out.append(("genkind", name, pos))
         else:
             raise OperatorSyntaxError(f"unexpected character {text!r}", pos)
-    out.append(Token("end", None, len(src)))
+    out.append(("end", None, len(src)))
     return out
 
 
@@ -91,7 +98,7 @@ Gen = namedtuple("Gen", "kind index pos row col", defaults=(0, 0))
 Neg = namedtuple("Neg", "arg")
 Pow = namedtuple("Pow", "base exp")
 Mul = namedtuple("Mul", "factors")
-# parts: (sign, node) pairs with sign in {+1, -1}
+# parts: two or more (sign, node) pairs with sign in {+1, -1}
 Sum = namedtuple("Sum", "parts")
 
 
@@ -101,96 +108,93 @@ class _Parser:
         self.k = 0
         self.depth = 0
 
-    def descend(self, t: Token):
-        """Enter one more level of nesting at t; the caller leaves it."""
+    def descend(self, pos: int):
+        """Enter one more level of nesting at pos; the caller leaves it."""
         if self.depth == MAX_DEPTH:
-            raise OperatorSyntaxError(f"nesting deeper than {MAX_DEPTH}", t.pos)
+            raise OperatorSyntaxError(f"nesting deeper than {MAX_DEPTH}", pos)
         self.depth += 1
 
-    def peek(self) -> Token:
-        return self.toks[self.k]
-
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.k]
         self.k += 1
         return t
 
     def at(self, ops: str) -> bool:
         """Whether the next token is one of the operator characters ops."""
-        t = self.peek()
-        return t.kind == "op" and t.value in ops
+        kind, value, _ = self.toks[self.k]
+        return kind == "op" and value in ops
 
     def expect_op(self, ch: str):
         if not self.at(ch):
-            raise OperatorSyntaxError(f"expected {ch!r}", self.peek().pos)
-        self.next()
+            raise OperatorSyntaxError(f"expected {ch!r}", self.toks[self.k][2])
+        self.k += 1
 
     def natural(self, message: str) -> int:
         """The next token as a natural number; message names what it is."""
-        t = self.next()
-        if t.kind != "num" or t.value.denominator != 1:
-            raise OperatorSyntaxError(message, t.pos)
-        return int(t.value)
+        kind, value, pos = self.next()
+        if kind != "num" or value.denominator != 1:
+            raise OperatorSyntaxError(message, pos)
+        return int(value)
 
     def parse(self):
         node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise OperatorSyntaxError("trailing input", t.pos)
+        kind, _, pos = self.toks[self.k]
+        if kind != "end":
+            raise OperatorSyntaxError("trailing input", pos)
         return node
 
     def expr(self):
+        """A Sum of two parts or more, or the one part's term."""
         parts = [(1, self.term())]
         while self.at("+-"):
-            sign = 1 if self.next().value == "+" else -1
-            parts.append((sign, self.term()))
-        return Sum(tuple(parts))
+            parts.append((1 if self.next()[1] == "+" else -1, self.term()))
+        return Sum(tuple(parts)) if len(parts) > 1 else parts[0][1]
 
     def term(self):
         factors = [self.factor()]
         while self.at("*"):
-            self.next()
+            self.k += 1
             factors.append(self.factor())
         return Mul(tuple(factors))
 
     def factor(self):
         if self.at("-"):
-            self.descend(self.next())
+            self.descend(self.next()[2])
             node = Neg(self.factor())
             self.depth -= 1
             return node
         base = self.atom()
         if not self.at("^"):
             return base
-        self.next()
+        self.k += 1
         if self.at("-"):
             raise NegativeExponent("operator powers must be nonnegative")
         return Pow(base, self.natural("expected a natural number exponent"))
 
     def atom(self):
-        t = self.next()
-        if t.kind == "num":
-            return Num(t.value)
-        if t.kind == "op" and t.value == "(":
-            self.descend(t)
+        kind, value, pos = self.next()
+        if kind == "num":
+            return Num(value)
+        if kind == "op" and value == "(":
+            self.descend(pos)
             node = self.expr()
             self.expect_op(")")
             self.depth -= 1
             return node
-        if t.kind == "genkind":
-            return self.generator(t)
-        raise OperatorSyntaxError("expected a literal, generator or '('", t.pos)
+        if kind == "genkind":
+            return self.generator(value, pos)
+        raise OperatorSyntaxError("expected a literal, generator or '('", pos)
 
-    def generator(self, t: Token):
+    def generator(self, kind: str, pos: int):
         idx = self.natural("generator needs a factor index")
-        if t.value != "e":
-            return Gen(t.value, idx, t.pos)
+        if kind != "e":
+            return Gen(kind, idx, pos)
         self.expect_op("[")
         r = self.natural("expected a natural row index")
         self.expect_op(",")
         c = self.natural("expected a natural column index")
         self.expect_op("]")
-        return Gen("e", idx, t.pos, r, c)
+        return Gen("e", idx, pos, r, c)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -217,8 +221,6 @@ def _evaluate(node, one, leaf):
         for f in rest:
             acc = _bounded_product(acc, _evaluate(f, one, leaf))
         return acc
-    if len(node.parts) == 1:
-        return _evaluate(node.parts[0][1], one, leaf)
     out = {}
     for sign, part in node.parts:
         for k, v in _evaluate(part, one, leaf).terms.items():
@@ -233,15 +235,27 @@ def _word(g: Gen, n: int) -> tuple:
     return MatUnit(g.row, g.col) if g.kind == "e" else GEN_MONOS[g.kind]
 
 
+def _x_power(k: int) -> dict:
+    """x^k = int^k H(H+1)...(H+k-1) as an I1 word map in ascending powers of
+    H: the coefficient of int^k H^j is the unsigned Stirling number [k, j]."""
+    row = [1]
+    for i in range(k):
+        row = [a + i * b for a, b in zip([0, *row], [*row, 0])]
+    return {(0, k, j): c for j, c in enumerate(row) if c}
+
+
 def _fold(factors, one: InElement):
     """The product of the leading literals, generators and powers of
     generators, each maybe negated, among the factors, and the factors left.
     Generators at different factors commute, so it is a rational times one I1
     word map per factor, expanded once.  A power is taken as in I1 (x^k has k
-    terms, so none meets MAX_TERMS), and a generator ends the fold as an
-    element product when another map has several words or its word pairs
-    could emit over MAX_TERMS terms (a pair emits at most MAX_DEGREE + 1), so
-    the terms, their order and the errors are those of element products."""
+    terms, so none meets MAX_TERMS; up to MAX_X_POWER in closed form).  While
+    every map is one word, a power at a factor whose word is 1 is that factor's
+    map: its words have at most MAX_DEGREE letters, so no pair of the product
+    can be refused.  Otherwise a generator ends the fold as an element product
+    when another map has several words or its word pairs could emit over
+    MAX_TERMS terms (a pair emits at most MAX_DEGREE + 1), so the terms, their
+    order and the errors are those of element products."""
     n, c, maps = one.n, 1, [{_UNIT: 1}] * one.n
 
     def value(c, maps):
@@ -257,32 +271,36 @@ def _fold(factors, one: InElement):
         if not isinstance(g, Gen):
             return value(c, maps), (f, *factors[k + 1:])
         tag, a, b = word = _word(g, n)
-        w = {word: 1}
-        if g is not f:  # d^k, int^k and H^k within MAX_DEGREE: one word, no product can fail
-            w = {(0, a * f.exp, b * f.exp): 1} if not (tag or a * b) and f.exp <= MAX_DEGREE else (
-                I1Element(w) ** f.exp).terms
+        if g is f:
+            w = {word: 1}
+        elif not (tag or a * b) and f.exp <= MAX_DEGREE:  # d^k, int^k or H^k: one word
+            w = {(0, a * f.exp, b * f.exp): 1}
+        elif word == GEN_MONOS["x"] and f.exp <= MAX_X_POWER:
+            w = _x_power(f.exp)
+        else:
+            w = (I1Element({word: 1}) ** f.exp).terms
         if not (c and all(maps)):
             continue
-        m = maps[i := g.index - 1]
-        if prod(map(len, maps)) > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
+        m, size = maps[i := g.index - 1], prod(map(len, maps))
+        if g is not f and size == 1 and m == {_UNIT: 1}:
+            maps[i] = w
+        elif size > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
             v = value(1, [w if j == i else {_UNIT: 1} for j in range(n)])
             return _bounded_product(value(c, maps), v), factors[k + 1:]
-        maps[i] = _words_mul(m, w)
+        else:
+            maps[i] = _words_mul(m, w)
     return value(c, maps), ()
 
 
 def parse_operator(src: str, n: int = 1) -> InElement:
     """Parse an operator expression into its canonical element over n factors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _evaluate(_Parser(src).parse(), InElement.one(n),
-                     lambda g: _gen(n, g.index, _word(g, n)))
+    one = InElement.one(n)  # refuses a bad n ahead of any error in src
+    return _evaluate(_Parser(src).parse(), one, lambda g: _gen(n, g.index, _word(g, n)))
 
 
 def parse_poly(src: str, n: int = 1) -> PolyXn:
     """Parse a commutative polynomial in x1..xn with rational coefficients."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    one = PolyXn.one(n)  # refuses a bad n ahead of any error in src
 
     def leaf(g: Gen) -> PolyXn:
         if g.kind != "x":
@@ -292,7 +310,7 @@ def parse_poly(src: str, n: int = 1) -> PolyXn:
         _word(g, n)  # refuses an index outside 1..n
         return PolyXn.monomial(n, [int(k == g.index - 1) for k in range(n)])
 
-    return _evaluate(_Parser(src).parse(), PolyXn.one(n), leaf)
+    return _evaluate(_Parser(src).parse(), one, leaf)
 
 
 # ---------------------------------------------------------------- printing

@@ -40,6 +40,21 @@ MODE_QUOT = "B"
 # benchmark reach 4,319.
 MAX_TERMS = 1 << 15
 
+# Every key of an element over n factors is an n-tuple, so an element's size
+# and a product's cost grow faster than n; the constructors of elements and of
+# polynomials over n variables refuse a larger n before any key is built.  No
+# test or workload uses more than 64 factors.
+MAX_FACTORS = 64
+
+
+def _factor_count(n: int) -> int:
+    """n, refused unless it lies in 1..MAX_FACTORS."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > MAX_FACTORS:
+        raise LimitExceeded(f"{n} factors, beyond the limit {MAX_FACTORS}")
+    return n
+
 
 def _b1_mul_into(m1: tuple, m2: tuple, out: dict):
     """Accumulate m1 * m2 in B1 into `out`, which holds no matrix units: the
@@ -86,13 +101,15 @@ class InElement(Sparse):
     __slots__ = ("n", "modes")
 
     def __init__(self, n: int, terms=None, modes=None):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
+        self.n = _factor_count(n)
         self.modes = tuple(modes) if modes is not None else (MODE_FULL,) * n
         if len(self.modes) != n:
             raise DimensionMismatch("mode vector length != n")
+        if not {*self.modes} <= {MODE_FULL, MODE_QUOT}:
+            raise ValueError(f"factor modes must be {MODE_FULL!r} or {MODE_QUOT!r}: {self.modes}")
         super().__init__(terms)
+        if any(len(tup) != n for tup in self.terms):
+            raise DimensionMismatch("term key length != n")
 
     @classmethod
     def zero(cls, n: int, modes=None) -> "InElement":
@@ -100,7 +117,8 @@ class InElement(Sparse):
 
     @classmethod
     def one(cls, n: int, modes=None) -> "InElement":
-        return cls(n, {(_UNIT,) * n: 1}, modes)
+        # n is checked before a key of n factors is built
+        return cls(n, None, modes)._scalar(1)
 
     @classmethod
     def from_scalar(cls, n: int, v, modes=None) -> "InElement":
@@ -206,8 +224,8 @@ def gen_e(n: int, i: int, s: int, t: int) -> InElement:
 def _gen(n: int, i: int, mon) -> InElement:
     if not 1 <= i <= n:
         raise DimensionMismatch(f"factor index {i} outside 1..{n}")
-    tup = tuple(mon if k == i - 1 else _UNIT for k in range(n))
-    return InElement(n, {tup: Fraction(1)})
+    # n is checked before a key of n factors is built
+    return InElement(n)._new({(_UNIT,) * (i - 1) + (mon,) + (_UNIT,) * (n - i): 1})
 
 
 class PolyXn(Sparse):
@@ -216,12 +234,12 @@ class PolyXn(Sparse):
     __slots__ = ("n",)
 
     def __init__(self, n: int, coeffs=None):
-        self.n = n
+        self.n = _factor_count(n)
         super().__init__(coeffs)
 
     @classmethod
     def one(cls, n: int) -> "PolyXn":
-        return cls(n, {(0,) * n: 1})
+        return cls(n)._scalar(1)
 
     @classmethod
     def monomial(cls, n: int, deg, coeff=1) -> "PolyXn":

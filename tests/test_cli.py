@@ -1,5 +1,6 @@
 """Command-line interface: golden files, machine mode, exit-code contract."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -139,6 +140,30 @@ def test_chain_of_products_beyond_the_size_limit_is_refused(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: a product of 38826 term pairs, beyond the limit 32768\n"
+
+
+def test_power_of_x_in_closed_form(capsys):
+    # the 116,583 bytes of x1^300 as computed by squaring in I1
+    start = time.perf_counter()
+    assert run(["normalize", "x1^300"]) == 0
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 116_583
+    assert hashlib.sha256(out).hexdigest() == (
+        "1fec68ef3aaa504ec330208ff4ddcdf169ccd24618f2e71011fb444f367f467a")
+
+
+def test_factor_count_beyond_the_limit_is_refused_at_once(capsys):
+    assert run(["normalize", "-n", "64", "d1"]) == 0
+    assert capsys.readouterr().out == "d1\n"
+    for args in (["normalize", "-n", "65", "d1"], ["check", "relations", "-n", "65"],
+                 ["apply", "-n", "100000000", "d1", "--to", "x1"]):
+        start = time.perf_counter()
+        assert run(args) == 1
+        assert time.perf_counter() - start < 0.1
+        out, err = capsys.readouterr()
+        n = args[args.index("-n") + 1]
+        assert out == "" and err == f"error: {n} factors, beyond the limit 64\n"
 
 
 def test_minimal_primes_over_many_slots(capsys):

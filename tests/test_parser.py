@@ -1,6 +1,7 @@
 """Parser and pretty-printer: grammar, precedence, round-trip, fuzzing."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from intdiffop.errors import (
     NegativeExponent,
     OperatorSyntaxError,
 )
+
+from intdiffop.opparser import MAX_X_POWER, _x_power
 
 from conftest import rand_i1, rand_in
 
@@ -102,6 +105,40 @@ class TestParseOperator:
     def test_other_decimal_digits_are_literals(self):
         assert parse_operator("٣*d1", 1) == parse_operator("3*d1", 1)
 
+    @pytest.mark.parametrize("text,message", [
+        ("d1 * ) $", "unexpected character '$' (at position 7)"),
+        ("d1 * ) 1/0", "zero denominator in literal (at position 7)"),
+    ])
+    def test_lexical_error_before_an_earlier_syntax_error(self, text, message):
+        # the whole text is tokenized before any of it is parsed
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_operator(text, 1)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parse,text", [(parse_operator, "d1 +"), (parse_poly, "x1 +")])
+    def test_bad_count_before_a_syntax_error(self, parse, text):
+        with pytest.raises(ValueError, match="n must be >= 1") as exc:
+            parse(text, 0)
+        assert not isinstance(exc.value, OperatorSyntaxError)
+
+
+class TestPowersOfX:
+    def test_closed_form_is_the_i1_power(self):
+        for k in range(61):
+            want, got = (X**k).terms, _x_power(k)
+            assert list(got.items()) == list(want.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_limit(self):
+        # powering x^k pairs at most k^2/4 terms of at most 2k letters
+        assert MAX_X_POWER == 362
+
+    def test_large_power_is_fast(self):
+        start = time.perf_counter()
+        a = parse_operator("x1^300", 1)
+        assert time.perf_counter() - start < 0.1
+        assert list(a.terms) == [(IntMon(300, j),) for j in range(1, 301)]
+
 
 class TestPrecedence:
     def test_power_over_scalar(self):
@@ -134,6 +171,10 @@ class TestParsePoly:
         with pytest.raises(OperatorSyntaxError) as exc:
             parse_poly("x1 + d1", 1)
         assert exc.value.pos == 5
+
+    def test_zero_variables(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            PolyXn(0)
 
 
 class TestFormat:

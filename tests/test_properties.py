@@ -386,3 +386,23 @@ def test_parsed_operators_match_element_products(case):
 ])
 def test_fold_edges_match_element_products(n, text):
     assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)
+
+
+# powers of x in closed form, and word maps too large to multiply taken as
+# they are while the fold so far is a rational
+@pytest.mark.parametrize("n,text", [
+    (1, "x1^40"),
+    (2, "d2*x1^40*3/2"),
+    (2, "-x1^33*x2^2*int1"),
+    (1, "x1^40*x1^3"),
+    (1, "e1[0,0]*x1^35"),
+    (1, "x1^34*e1[2,0]"),
+    (2, "x2^0*x1^36*d2^3*x2"),
+    (2, "0*x1^50*d1^999"),
+    (1, "x1^40*d1^980"),
+    (1, "x1^40*e1[500,501]"),
+    (1, "H1^0*e1[500,501]"),
+    (2, "d2^999*x1^50*int2*e1[990,0]"),
+])
+def test_x_power_folds_match_element_products(n, text):
+    assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)

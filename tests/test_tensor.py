@@ -292,6 +292,38 @@ class TestRefusals:
         with pytest.raises(DimensionMismatch):
             InElement(2, None, (MODE_QUOT,))
 
+    def test_unknown_mode(self):
+        # "X" would multiply as a full factor yet compare unequal to one
+        with pytest.raises(ValueError, match="factor modes"):
+            InElement(2, {((0, 1, 0), (0, 1, 0)): 1}, modes=("I", "X"))
+
+    def test_key_length(self):
+        # a short key would print and multiply as if its missing factors were 1
+        with pytest.raises(DimensionMismatch, match="term key length"):
+            InElement(2, {((0, -1, 0),): 1})
+        with pytest.raises(DimensionMismatch, match="term key length"):
+            InElement(1, {((0, -1, 0), (0, 0, 0)): 1})
+
+    @pytest.mark.parametrize("build", [
+        InElement, InElement.one, InElement.zero, PolyXn, PolyXn.one,
+        lambda n: InElement.from_scalar(n, 3),
+    ])
+    def test_factor_count(self, build):
+        assert build(1).n == 1 and build(TENSOR.MAX_FACTORS).n == TENSOR.MAX_FACTORS
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                build(n)
+        # refused before a key of n factors is built
+        for n in (TENSOR.MAX_FACTORS + 1, 10**12):
+            with pytest.raises(LimitExceeded, match=f"{n} factors, beyond the limit 64"):
+                build(n)
+
+    def test_generator_factor_count(self):
+        assert gen_partial(TENSOR.MAX_FACTORS, TENSOR.MAX_FACTORS).n == TENSOR.MAX_FACTORS
+        for n in (TENSOR.MAX_FACTORS + 1, 10**12):
+            with pytest.raises(LimitExceeded, match=f"{n} factors, beyond the limit 64"):
+                gen_partial(n, 1)
+
     def test_to_i1_needs_one_full_factor(self):
         for a in (gen_h(2, 1), project_modulo_prime(gen_h(1, 1), [1])):
             with pytest.raises(ModeMismatch):
