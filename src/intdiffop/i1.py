@@ -66,6 +66,8 @@ def mono_involution(m):
 
 def _binomial_row(c: int, j: int) -> list:
     """The integer coefficients of (H + c)^j, lowest degree first."""
+    if not c:
+        return [0] * j + [1]
     return [comb(j, i) * c ** (j - i) for i in range(j + 1)]
 
 

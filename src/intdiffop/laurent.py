@@ -64,13 +64,11 @@ class B1Element(_Skew):
 
     @staticmethod
     def _coerce(v):
-        if isinstance(v, PolyH):
-            return v
-        return PolyH.const(v)
+        return v if isinstance(v, PolyH) else PolyH.const(v)
 
     def to_calb1(self) -> "CalB1Element":
         """Embedding into the K(H) version; commutes with multiplication."""
-        return CalB1Element({d: RatFunc(p) for d, p in self.terms.items()})
+        return CalB1Element(self.terms)
 
 
 class CalB1Element(_Skew):
@@ -78,11 +76,7 @@ class CalB1Element(_Skew):
 
     @staticmethod
     def _coerce(v):
-        if isinstance(v, RatFunc):
-            return v
-        if isinstance(v, PolyH):
-            return RatFunc(v)
-        return RatFunc.const(v)
+        return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 def length(b):

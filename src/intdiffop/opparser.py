@@ -20,9 +20,11 @@ which also bounds the recursion of the evaluator over the parsed tree.  A
 power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
 Generators at different factors commute, so a product's leading literals,
 generators and powers of generators are multiplied as one I1 word map per
-factor and expanded once, with x^k = int^k H(H+1)...(H+k-1) in closed form;
-sums and their powers are multiplied as elements.  A bad n is refused by the
-element constructors, ahead of any error in the text.
+factor and expanded once, with x^k = int^k H(H+1)...(H+k-1) in closed form
+wherever I1 powering would answer (k <= 384) and refused where it would not,
+also after a factor that ends the fold; sums and their powers are multiplied
+as elements.  A bad n is refused by the element constructors, ahead of any
+error in the text.
 """
 
 from __future__ import annotations
@@ -31,21 +33,16 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
 from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
 from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, I1Element, MatUnit, _words_mul
 from .polyh import join_terms, poly_terms, power_text, term_text
-from .sparse import MAX_POWER_PAIRS, _acc, _bounded_product, _integral
+from .sparse import _acc, _bounded_product, _check_pairs, _integral
 from .tensor import MAX_TERMS, MODE_FULL, MODE_QUOT, InElement, PolyXn, _expand_into, _gen
 
 MAX_DEPTH = 200
 MAX_POWER_BITS = 1 << 16
-
-# Powering x^k multiplies x^r by x^b with r + b <= k, which pairs at most
-# k^2/4 terms of at most 2k letters; up to here no such product is refused,
-# so x^k is taken in closed form (k = 362).
-MAX_X_POWER = min(isqrt(4 * MAX_POWER_PAIRS), MAX_DEGREE // 2)
 
 
 # ---------------------------------------------------------------- tokens
@@ -210,6 +207,8 @@ def _evaluate(node, one, leaf):
     if isinstance(node, Neg):
         return -_evaluate(node.arg, one, leaf)
     if isinstance(node, Pow):
+        if isinstance(node.base, Gen) and isinstance(one, InElement):
+            return _fold((node,), one)[0]  # a factor the fold left: x^k in closed form
         base = _evaluate(node.base, one, leaf)
         c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
         if (bits := node.exp * (c.bit_length() - 1)) > MAX_POWER_BITS:
@@ -237,7 +236,17 @@ def _word(g: Gen, n: int) -> tuple:
 
 def _x_power(k: int) -> dict:
     """x^k = int^k H(H+1)...(H+k-1) as an I1 word map in ascending powers of
-    H: the coefficient of int^k H^j is the unsigned Stirling number [k, j]."""
+    H: the coefficient of int^k H^j is the unsigned Stirling number [k, j].
+    It is refused first where I1 binary powering would be: x^a has a terms
+    and 1 has one, so each product of that powering pairs a product of
+    exponents, and its words have at most 2k <= 768 letters."""
+    done = 0
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            _check_pairs(max(done, 1) << i)
+            done += 1 << i
+        if k >> i > 1:
+            _check_pairs(1 << 2 * i)
     row = [1]
     for i in range(k):
         row = [a + i * b for a, b in zip([0, *row], [*row, 0])]
@@ -248,14 +257,12 @@ def _fold(factors, one: InElement):
     """The product of the leading literals, generators and powers of
     generators, each maybe negated, among the factors, and the factors left.
     Generators at different factors commute, so it is a rational times one I1
-    word map per factor, expanded once.  A power is taken as in I1 (x^k has k
-    terms, so none meets MAX_TERMS; up to MAX_X_POWER in closed form).  While
-    every map is one word, a power at a factor whose word is 1 is that factor's
-    map: its words have at most MAX_DEGREE letters, so no pair of the product
-    can be refused.  Otherwise a generator ends the fold as an element product
-    when another map has several words or its word pairs could emit over
-    MAX_TERMS terms (a pair emits at most MAX_DEGREE + 1), so the terms, their
-    order and the errors are those of element products."""
+    word map per factor, expanded once.  A power is taken as in I1, x^k in
+    closed form (x^k has k terms, so none meets MAX_TERMS).  A generator or a
+    power ends the fold as an element product when another map has several
+    words or its word pairs could emit over MAX_TERMS terms (a pair emits at
+    most MAX_DEGREE + 1), even a map of 1, so the terms, their order and the
+    errors are those of element products.  _evaluate folds each power left."""
     n, c, maps = one.n, 1, [{_UNIT: 1}] * one.n
 
     def value(c, maps):
@@ -275,20 +282,17 @@ def _fold(factors, one: InElement):
             w = {word: 1}
         elif not (tag or a * b) and f.exp <= MAX_DEGREE:  # d^k, int^k or H^k: one word
             w = {(0, a * f.exp, b * f.exp): 1}
-        elif word == GEN_MONOS["x"] and f.exp <= MAX_X_POWER:
+        elif word == GEN_MONOS["x"]:
             w = _x_power(f.exp)
         else:
             w = (I1Element({word: 1}) ** f.exp).terms
         if not (c and all(maps)):
             continue
         m, size = maps[i := g.index - 1], prod(map(len, maps))
-        if g is not f and size == 1 and m == {_UNIT: 1}:
-            maps[i] = w
-        elif size > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
+        if size > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
             v = value(1, [w if j == i else {_UNIT: 1} for j in range(n)])
             return _bounded_product(value(c, maps), v), factors[k + 1:]
-        else:
-            maps[i] = _words_mul(m, w)
+        maps[i] = _words_mul(m, w)
     return value(c, maps), ()
 
 

@@ -203,11 +203,11 @@ class PolyH(Sparse):
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
-        # a product by the constant 1 is the other operand, with no list built
-        if self.terms == ONE.terms:
-            return other
-        if other.terms == ONE.terms:
-            return self
+        # a product by a constant is a scaling, and by 1 the other operand
+        if len(self.terms) == 1 and 0 in self.terms:
+            return other if self.terms[0] == 1 else other.scale(self.terms[0])
+        if len(other.terms) == 1 and 0 in other.terms:
+            return self if other.terms[0] == 1 else self.scale(other.terms[0])
         # one convolution of the primitive lists, scaled once by the contents' int product
         a, n, d = _primitive(self.terms)
         b, m, e = _primitive(other.terms)
@@ -368,23 +368,14 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = PolyH.const(num)
-        if den is None:  # num/1 is already reduced, with a monic denominator
-            self.num, self.den = num, ONE
-            return
-        if isinstance(den, (int, Fraction)):
-            den = PolyH.const(den)
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = PolyH(), ONE
-            return
-        _, num, den = _cofactors(num, den)
-        inv = 1 / den.leading_coeff()
-        if inv != 1:
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, den
+        """num/1 divided by den: the quotient's crosswise cancellation
+        reduces it and leaves den monic, and a zero den raises DivisionByZero.
+        A num or den that is not a PolyH is a constant by PolyH.const, which
+        refuses all but an int or a Fraction with TypeError."""
+        self.num, self.den = num if isinstance(num, PolyH) else PolyH.const(num), ONE
+        if den is not None:
+            r = self / (den if isinstance(den, PolyH) else PolyH.const(den))
+            self.num, self.den = r.num, r.den
 
     @classmethod
     def const(cls, v) -> "RatFunc":
@@ -479,7 +470,8 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
-        inv = 1 / self.num.leading_coeff()
+        if (inv := 1 / self.num.leading_coeff()) == 1:
+            return RatFunc._reduced(self.den, self.num)
         return RatFunc._reduced(self.den.scale(inv), self.num.scale(inv))
 
     def __truediv__(self, other):

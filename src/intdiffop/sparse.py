@@ -193,9 +193,14 @@ class Sparse:
         return result
 
 
-def _bounded_product(a: Sparse, b: Sparse) -> Sparse:
-    """a * b, refused before it starts beyond MAX_POWER_PAIRS term pairs."""
-    if (pairs := len(a.terms) * len(b.terms)) > MAX_POWER_PAIRS:
+def _check_pairs(pairs: int):
+    """Refuse a product of more than MAX_POWER_PAIRS term pairs."""
+    if pairs > MAX_POWER_PAIRS:
         raise LimitExceeded(
             f"a product of {pairs} term pairs, beyond the limit {MAX_POWER_PAIRS}")
+
+
+def _bounded_product(a: Sparse, b: Sparse) -> Sparse:
+    """a * b, refused before it starts beyond MAX_POWER_PAIRS term pairs."""
+    _check_pairs(len(a.terms) * len(b.terms))
     return a * b

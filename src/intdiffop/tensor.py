@@ -236,6 +236,8 @@ class PolyXn(Sparse):
     def __init__(self, n: int, coeffs=None):
         self.n = _factor_count(n)
         super().__init__(coeffs)
+        if any(len(deg) != n for deg in self.terms):
+            raise DimensionMismatch("term key length != n")
 
     @classmethod
     def one(cls, n: int) -> "PolyXn":

@@ -153,6 +153,20 @@ def test_power_of_x_in_closed_form(capsys):
         "1fec68ef3aaa504ec330208ff4ddcdf169ccd24618f2e71011fb444f367f467a")
 
 
+def test_power_of_x_at_the_pair_limit(capsys):
+    # x^384 is the last power the squaring in I1 answers; x^385 is refused
+    # with its message before any row is built
+    start = time.perf_counter()
+    assert run(["normalize", "x1^384"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.startswith("int1^384*(H1^384 + 73536*H1^383 + 2694371296*H1^382 + ")
+    start = time.perf_counter()
+    assert run(["normalize", "x1^385"]) == 1
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a product of 33024 term pairs, beyond the limit 32768\n"
+
+
 def test_factor_count_beyond_the_limit_is_refused_at_once(capsys):
     assert run(["normalize", "-n", "64", "d1"]) == 0
     assert capsys.readouterr().out == "d1\n"

@@ -26,11 +26,15 @@ from intdiffop import (
 from intdiffop.errors import (
     IndexOutOfRange,
     IntDiffOpError,
+    LimitExceeded,
     NegativeExponent,
     OperatorSyntaxError,
 )
 
-from intdiffop.opparser import MAX_X_POWER, _x_power
+from intdiffop import sparse
+from intdiffop.i1 import MAX_DEGREE
+from intdiffop.opparser import _x_power
+from intdiffop.sparse import Sparse
 
 from conftest import rand_i1, rand_in
 
@@ -129,15 +133,66 @@ class TestPowersOfX:
             assert list(got.items()) == list(want.items())
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
-    def test_limit(self):
-        # powering x^k pairs at most k^2/4 terms of at most 2k letters
-        assert MAX_X_POWER == 362
+    @pytest.mark.parametrize("limit", [1, 2, 5, 9, 100, 1000, None])
+    def test_refusals_match_binary_powering(self, limit, monkeypatch):
+        # x^a has a terms, as has the a-th power of the stand-in for x;
+        # None keeps MAX_POWER_PAIRS
+        if limit:
+            monkeypatch.setattr(sparse, "MAX_POWER_PAIRS", limit)
+        accepted = []
+        for k in range(2100):
+            try:
+                _XTerms({1: 1}) ** k
+            except LimitExceeded as exc:
+                with pytest.raises(LimitExceeded) as got:
+                    _x_power(k)
+                assert str(got.value) == str(exc)
+            else:
+                accepted.append(k)
+        if not limit:
+            # the rows of every accepted power take seconds; test the edges
+            assert accepted == list(range(385))
+            # powering x^k multiplies words of at most 2k letters, so the
+            # pair limit refuses x^k before the letter limit could
+            assert 2 * accepted[-1] <= MAX_DEGREE
+            accepted = [0, 1, 2, 127, 128, 255, 256, 383, 384]
+        for k in accepted:
+            assert len(_x_power(k)) == max(k, 1)
 
     def test_large_power_is_fast(self):
+        # x^384 is the last power the squaring accepts; test_cli times x^385
+        for k in (300, 384):
+            start = time.perf_counter()
+            a = parse_operator(f"x1^{k}", 1)
+            assert time.perf_counter() - start < 0.1
+            assert list(a.terms) == [(IntMon(k, j),) for j in range(1, k + 1)]
+
+    @pytest.mark.parametrize("n,text,same", [
+        (2, "x1^33*x2^300", None),  # x1^33 ends the fold; x2^300 is left to _evaluate
+        (1, "(d1 + 1)*x1^300", "d1*x1^300 + x1^300"),
+        (1, "(d1 + 1)*-x1^200", "-d1*x1^200 - x1^200"),
+    ])
+    def test_powers_left_by_the_fold_are_fast(self, n, text, same):
         start = time.perf_counter()
-        a = parse_operator("x1^300", 1)
-        assert time.perf_counter() - start < 0.1
-        assert list(a.terms) == [(IntMon(300, j),) for j in range(1, 301)]
+        a = parse_operator(text, n)
+        assert time.perf_counter() - start < 1
+        if same:
+            assert a == parse_operator(same, n)
+        else:
+            assert len(a.terms) == 33 * 300
+
+
+class _XTerms(Sparse):
+    """A stand-in for x whose a-th power has the a terms 1..a."""
+
+    __slots__ = ()
+
+    def _unit_key(self):
+        return 0
+
+    def __mul__(self, other):
+        a = max(self.terms) + max(other.terms)
+        return self._new(dict.fromkeys(range(1, a + 1), 1) or {0: 1})
 
 
 class TestPrecedence:

@@ -495,6 +495,14 @@ class TestRatFunc:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             RatFunc(H, PolyH())
+        with pytest.raises(DivisionByZero):
+            RatFunc(PolyH(), 0)
+
+    @pytest.mark.parametrize("args", [(1.5,), ("x", 2), (H, 0.5), (1.5, H)])
+    def test_inexact_parts_are_refused(self, args):
+        # every constructor takes only an int or a Fraction as a constant
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            RatFunc(*args)
 
     def test_no_gcd_without_a_denominator(self, gcd_calls):
         assert RatFunc(H + 1).den == 1

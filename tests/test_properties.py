@@ -343,13 +343,18 @@ def outcome(evaluate, text: str, n: int):
 
 def operator_texts(n: int):
     """Text over n factors: generators, matrix units, literals (6/3 is an
-    integer), powers 0..4, unary minus, parentheses, products and sums."""
+    integer), powers 0..4, powers of x 0..12 (taken in closed form), unary
+    minus, parentheses, products and sums."""
     atoms = st.one_of(
         st.builds("{}{}".format, st.sampled_from(["x", "d", "int", "H"]), st.integers(1, n)),
         st.builds("e{}[{},{}]".format, st.integers(1, n), st.integers(0, 3), st.integers(0, 3)),
         st.sampled_from(["0", "1", "3", "1/2", "3/4", "6/3"]),
     )
-    powers = st.one_of(atoms, st.builds("{}^{}".format, atoms, st.integers(0, 4)))
+    powers = st.one_of(
+        atoms,
+        st.builds("{}^{}".format, atoms, st.integers(0, 4)),
+        st.builds("x{}^{}".format, st.integers(1, n), st.integers(0, 12)),
+    )
     return st.recursive(powers, lambda inner: st.one_of(
         st.builds("{}*{}".format, inner, inner),
         st.builds("{} {} {}".format, inner, st.sampled_from("+-"), inner),
@@ -388,8 +393,7 @@ def test_fold_edges_match_element_products(n, text):
     assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)
 
 
-# powers of x in closed form, and word maps too large to multiply taken as
-# they are while the fold so far is a rational
+# powers of x in closed form next to other words, in the fold and after it
 @pytest.mark.parametrize("n,text", [
     (1, "x1^40"),
     (2, "d2*x1^40*3/2"),
@@ -405,4 +409,19 @@ def test_fold_edges_match_element_products(n, text):
     (2, "d2^999*x1^50*int2*e1[990,0]"),
 ])
 def test_x_power_folds_match_element_products(n, text):
+    assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)
+
+
+# a power of a generator that the fold leaves is taken as the fold takes it
+@pytest.mark.parametrize("n,text", [
+    (2, "x1^33*x2^40"),
+    (1, "e1[0,0]*x1^35*x1^40"),
+    (2, "x1^34*x2^0*(d2 + x2)^2*x2^35"),
+    (1, "(d1 + 1)*x1^40*d1"),
+    (1, "(H1 - 1)*-x1^12*e1[0,2]^3"),
+    (1, "(int1 + 2)*d1^40*int1^3"),
+    (1, "(d1 + 1)*H1^1001"),
+    (2, "(d1 + 1)*x3^2"),
+])
+def test_powers_after_the_fold_match_element_products(n, text):
     assert outcome(opparser.parse_operator, text, n) == outcome(reference_operator, text, n)

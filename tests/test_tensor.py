@@ -304,6 +304,14 @@ class TestRefusals:
         with pytest.raises(DimensionMismatch, match="term key length"):
             InElement(1, {((0, -1, 0), (0, 0, 0)): 1})
 
+    def test_polynomial_key_length(self):
+        # a short key would print as x1 yet compare unequal to x1, and an
+        # action would skip the factors it lacks
+        with pytest.raises(DimensionMismatch, match="term key length"):
+            PolyXn(2, {(1,): 1})
+        with pytest.raises(DimensionMismatch, match="term key length"):
+            PolyXn.monomial(1, (1, 0))
+
     @pytest.mark.parametrize("build", [
         InElement, InElement.one, InElement.zero, PolyXn, PolyXn.one,
         lambda n: InElement.from_scalar(n, 3),
