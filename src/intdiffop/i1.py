@@ -14,6 +14,7 @@ by e[0,0]*int = 0 and d*e[0,0] = 0.
 
 Monomial products are closed forms over Python ints, with no memo; every
 monomial they emit is interned, so results share one tuple per monomial.
+Powers of x take the closed form x^k = int^k H(H+1)...(H+k-1).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb, factorial, perm
 from .errors import LimitExceeded
 from .laurent import B1Element
 from .polyh import PolyH, _conv, nonneg_shifted_roots
-from .sparse import Sparse, _acc, _integral
+from .sparse import Sparse, _acc, _check_pairs, _integral
 
 
 def DiffMon(j: int, i: int) -> tuple:
@@ -51,6 +52,7 @@ _UNIT = HMon(0)
 
 # the word of each generator but the matrix units, by its name in text
 GEN_MONOS = {"x": IntMon(1, 1), "d": DiffMon(0, 1), "int": IntMon(1, 0), "H": HMon(1)}
+_X = GEN_MONOS["x"]
 
 
 def mono_degree(m) -> int:
@@ -148,6 +150,24 @@ def _words_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _x_power(k: int) -> dict:
+    """x^k = int^k H(H+1)...(H+k-1) as a word map in ascending powers of H:
+    the coefficient of int^k H^j is the unsigned Stirling number [k, j].  It is
+    refused first where binary powering would be: x^a has a terms and 1 has one,
+    so each product pairs a product of exponents, of at most 2k <= 768 letters."""
+    done = 0
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            _check_pairs(max(done, 1) << i)
+            done += 1 << i
+        if k >> i > 1:
+            _check_pairs(1 << 2 * i)
+    row = [1]
+    for i in range(k):
+        row = [a + i * b for a, b in zip([0, *row], [*row, 0])]
+    return {(0, k, j): c for j, c in enumerate(row) if c}
+
+
 def mono_mul(m1, m2) -> "I1Element":
     out = {}
     _mono_mul_into(m1, m2, out, 1)
@@ -181,8 +201,12 @@ class I1Element(Sparse):
             return NotImplemented
         return self._new(_integral(_words_mul(self.terms, other.terms)))
 
-    # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
-    __pow__ = Sparse.__pow__
+    def __pow__(self, k: int):
+        """(c*x)**k is c^k x^k in closed form, else Sparse.__pow__; bench/tracing.py
+        patches it by name per class (tests/test_trace_points.py)."""
+        if k >= 0 and self.terms.keys() == {_X}:
+            return self._new(_x_power(k)).scale(self.terms[_X] ** k)
+        return Sparse.__pow__(self, k)
 
     def involution(self) -> "I1Element":
         return self._new({mono_involution(m): v for m, v in self.terms.items()})

@@ -19,12 +19,10 @@ on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
 which also bounds the recursion of the evaluator over the parsed tree.  A
 power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
 Generators at different factors commute, so a product's leading literals,
-generators and powers of generators are multiplied as one I1 word map per
-factor and expanded once, with x^k = int^k H(H+1)...(H+k-1) in closed form
-wherever I1 powering would answer (k <= 384) and refused where it would not,
-also after a factor that ends the fold; sums and their powers are multiplied
-as elements.  A bad n is refused by the element constructors, ahead of any
-error in the text.
+generators and one-word powers (d^k, int^k and H^k) are multiplied as one I1
+word map per factor and expanded once; the factors after them are multiplied
+as elements, and powers are the elements' `**`.  A bad n is refused by the
+element constructors, ahead of any error in the text.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from fractions import Fraction
 from math import prod
 
 from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
-from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, I1Element, MatUnit, _words_mul
+from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, MatUnit, _words_mul
 from .polyh import join_terms, poly_terms, power_text, term_text
-from .sparse import _acc, _bounded_product, _check_pairs, _integral
+from .sparse import _acc, _bounded_product, _integral
 from .tensor import MAX_TERMS, MODE_FULL, MODE_QUOT, InElement, PolyXn, _expand_into, _gen
 
 MAX_DEPTH = 200
@@ -207,8 +205,6 @@ def _evaluate(node, one, leaf):
     if isinstance(node, Neg):
         return -_evaluate(node.arg, one, leaf)
     if isinstance(node, Pow):
-        if isinstance(node.base, Gen) and isinstance(one, InElement):
-            return _fold((node,), one)[0]  # a factor the fold left: x^k in closed form
         base = _evaluate(node.base, one, leaf)
         c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
         if (bits := node.exp * (c.bit_length() - 1)) > MAX_POWER_BITS:
@@ -234,35 +230,14 @@ def _word(g: Gen, n: int) -> tuple:
     return MatUnit(g.row, g.col) if g.kind == "e" else GEN_MONOS[g.kind]
 
 
-def _x_power(k: int) -> dict:
-    """x^k = int^k H(H+1)...(H+k-1) as an I1 word map in ascending powers of
-    H: the coefficient of int^k H^j is the unsigned Stirling number [k, j].
-    It is refused first where I1 binary powering would be: x^a has a terms
-    and 1 has one, so each product of that powering pairs a product of
-    exponents, and its words have at most 2k <= 768 letters."""
-    done = 0
-    for i in range(k.bit_length()):
-        if k >> i & 1:
-            _check_pairs(max(done, 1) << i)
-            done += 1 << i
-        if k >> i > 1:
-            _check_pairs(1 << 2 * i)
-    row = [1]
-    for i in range(k):
-        row = [a + i * b for a, b in zip([0, *row], [*row, 0])]
-    return {(0, k, j): c for j, c in enumerate(row) if c}
-
-
 def _fold(factors, one: InElement):
-    """The product of the leading literals, generators and powers of
-    generators, each maybe negated, among the factors, and the factors left.
-    Generators at different factors commute, so it is a rational times one I1
-    word map per factor, expanded once.  A power is taken as in I1, x^k in
-    closed form (x^k has k terms, so none meets MAX_TERMS).  A generator or a
-    power ends the fold as an element product when another map has several
-    words or its word pairs could emit over MAX_TERMS terms (a pair emits at
-    most MAX_DEGREE + 1), even a map of 1, so the terms, their order and the
-    errors are those of element products.  _evaluate folds each power left."""
+    """The product of the leading literals, generators and one-word powers
+    (d^k, int^k and H^k with k <= MAX_DEGREE), each maybe negated, as a
+    rational times one I1 word map per factor, and the factors left.  It ends
+    at any other factor, at a product so far of 0, and where it could differ
+    from element products: another map has several words, or the word pairs
+    could emit over MAX_TERMS terms (a pair emits at most MAX_DEGREE + 1).
+    _evaluate multiplies the rest as elements, with their terms, order and errors."""
     n, c, maps = one.n, 1, [{_UNIT: 1}] * one.n
 
     def value(c, maps):
@@ -274,25 +249,15 @@ def _fold(factors, one: InElement):
         if isinstance(f, Num):
             c *= f.value
             continue
-        g = f.base if isinstance(f, Pow) else f
-        if not isinstance(g, Gen):
+        g, w = f.base if isinstance(f, Pow) else f, None
+        if isinstance(g, Gen):
+            tag, a, b = w = _word(g, n)
+            if g is not f:
+                w = None if tag or a * b or f.exp > MAX_DEGREE else (0, a * f.exp, b * f.exp)
+        m = maps[g.index - 1] if w and c else None
+        if not m or prod(map(len, maps)) != len(m) or len(m) * (MAX_DEGREE + 1) > MAX_TERMS:
             return value(c, maps), (f, *factors[k + 1:])
-        tag, a, b = word = _word(g, n)
-        if g is f:
-            w = {word: 1}
-        elif not (tag or a * b) and f.exp <= MAX_DEGREE:  # d^k, int^k or H^k: one word
-            w = {(0, a * f.exp, b * f.exp): 1}
-        elif word == GEN_MONOS["x"]:
-            w = _x_power(f.exp)
-        else:
-            w = (I1Element({word: 1}) ** f.exp).terms
-        if not (c and all(maps)):
-            continue
-        m, size = maps[i := g.index - 1], prod(map(len, maps))
-        if size > len(m) or len(m) * len(w) * (MAX_DEGREE + 1) > MAX_TERMS:
-            v = value(1, [w if j == i else {_UNIT: 1} for j in range(n)])
-            return _bounded_product(value(c, maps), v), factors[k + 1:]
-        maps[i] = _words_mul(m, w)
+        maps[g.index - 1] = _words_mul(m, {w: 1})
     return value(c, maps), ()
 
 

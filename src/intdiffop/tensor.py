@@ -8,7 +8,7 @@ basis of it and its product is the I1 product with the matrix units dropped.
 It prints on the monomials H^j D^d of the skew Laurent algebra `B1Element`
 (d -> D, int -> D^-1).  The involution and the grading of I1 keep F, so they
 act on both modes key by key.  Quotients by sums of the height-one primes are
-realized by flipping factors into quotient mode.
+realized by flipping factors into quotient mode.  A power of one monomial is an I1 power.
 """
 
 from __future__ import annotations
@@ -153,8 +153,19 @@ class InElement(Sparse):
                 _expand_into(out, map(_factor_mul, t1, t2, modes), v1 * v2)
         return self._new(_integral(out))
 
-    # bench/tracing.py patches it by name per class (tests/test_trace_points.py)
-    __pow__ = Sparse.__pow__
+    def __pow__(self, k: int):
+        """One term c*w, w the only monomial other than 1, is the I1 power
+        (c*w)**k put back at w's factor.  Both modes agree on it: words on one
+        side of degree 0 multiply with m = min(A, B) = 0 in _mono_mul_into, so
+        no matrix unit arises.  Any other element goes to Sparse.__pow__;
+        bench/tracing.py patches it by name per class."""
+        if len(self.terms) == 1:
+            ((tup, c),) = self.terms.items()
+            if len(at := [i for i, m in enumerate(tup) if m != _UNIT]) == 1:
+                i = at[0]
+                p = I1Element({tup[i]: c}) ** k
+                return self._new({(*tup[:i], m, *tup[i + 1:]): v for m, v in p.terms.items()})
+        return Sparse.__pow__(self, k)
 
     def involution(self) -> "InElement":
         return self._new({tuple(map(mono_involution, tup)): v for tup, v in self.terms.items()})

@@ -167,6 +167,21 @@ def test_power_of_x_at_the_pair_limit(capsys):
     assert out == "" and err == "error: a product of 33024 term pairs, beyond the limit 32768\n"
 
 
+def test_bracketed_power_of_x_is_refused_at_once():
+    # (x1)^385 is the closed form's refusal too, not seconds of squaring
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-m", "intdiffop.cli", "normalize", "(x1)^385"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: a product of 33024 term pairs, beyond the limit 32768\n"
+
+
 def test_factor_count_beyond_the_limit_is_refused_at_once(capsys):
     assert run(["normalize", "-n", "64", "d1"]) == 0
     assert capsys.readouterr().out == "d1\n"

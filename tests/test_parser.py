@@ -16,6 +16,7 @@ from intdiffop import (
     format_operator,
     format_poly,
     from_i1,
+    gen_x,
     generators,
     parse_operator,
     parse_poly,
@@ -32,8 +33,7 @@ from intdiffop.errors import (
 )
 
 from intdiffop import sparse
-from intdiffop.i1 import MAX_DEGREE
-from intdiffop.opparser import _x_power
+from intdiffop.i1 import MAX_DEGREE, _x_power
 from intdiffop.sparse import Sparse
 
 from conftest import rand_i1, rand_in
@@ -129,7 +129,7 @@ class TestParseOperator:
 class TestPowersOfX:
     def test_closed_form_is_the_i1_power(self):
         for k in range(61):
-            want, got = (X**k).terms, _x_power(k)
+            want, got = Sparse.__pow__(X, k).terms, _x_power(k)
             assert list(got.items()) == list(want.items())
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
@@ -166,6 +166,20 @@ class TestPowersOfX:
             a = parse_operator(f"x1^{k}", 1)
             assert time.perf_counter() - start < 0.1
             assert list(a.terms) == [(IntMon(k, j),) for j in range(1, k + 1)]
+
+    @pytest.mark.parametrize("power,n,k,c", [
+        (lambda: parse_operator("(x1)^300"), 1, 300, 1),
+        (lambda: parse_operator("(-x1)^200"), 1, 200, 1),
+        (lambda: parse_operator("(2*x1)^200"), 1, 200, 2**200),
+        (lambda: from_i1(X**300), 1, 300, 1),
+        (lambda: gen_x(2, 1) ** 300, 2, 300, 1),
+    ])
+    def test_every_spelling_takes_the_closed_form(self, power, n, k, c):
+        # binary powering took seconds for each of these
+        start = time.perf_counter()
+        a = power()
+        assert time.perf_counter() - start < 0.1
+        assert a == parse_operator(f"x1^{k}", n).scale(c)
 
     @pytest.mark.parametrize("n,text,same", [
         (2, "x1^33*x2^300", None),  # x1^33 ends the fold; x2^300 is left to _evaluate

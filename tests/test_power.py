@@ -1,14 +1,20 @@
 """Binary powers: x**k is the k-fold product and costs
-popcount(k) + bit_length(k) - 1 products (no squaring after the last bit)."""
+popcount(k) + bit_length(k) - 1 products (no squaring after the last bit).
+A one-term power takes the closed form of x^k or its factor's I1 power and
+must give what binary powering gives."""
 
+import time
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
 from intdiffop import (
+    DiffMon,
+    HMon,
     I1Element,
     InElement,
+    IntMon,
     MatUnit,
     PolyH,
     PolyXn,
@@ -16,10 +22,12 @@ from intdiffop import (
     generators,
     parse_operator,
     parse_poly,
+    project_modulo_prime,
 )
 from intdiffop import sparse
 from intdiffop.errors import LimitExceeded
 from intdiffop.laurent import CalB1Element
+from intdiffop.sparse import Sparse
 
 D, INT, H, X = generators()
 HP = PolyH.monomial(1)
@@ -82,3 +90,47 @@ def test_products_in_parsed_text_share_the_pair_limit(monkeypatch):
     assert parse_operator(f"{s}*{s}") == parse_operator(f"{s}^2")
     with pytest.raises(LimitExceeded, match=f"product of {3 * t2} term pairs, beyond the limit 9"):
         parse_operator(f"{s}*{s}*{s}")
+
+
+# one-term operands (coefficient, word), and the exponents beyond k = 0..13
+# at which binary powering refuses them: d^1001 and d^1024 pass the letter
+# limit, as do e[500,501]^2 and (d^999)^2
+ONE_TERM = [
+    (1, DiffMon(0, 1), (1001, 1024)), (1, IntMon(1, 0), ()), (1, HMon(1), ()),
+    (1, IntMon(1, 1), ()), (-1, IntMon(1, 1), ()), (Fraction(3, 2), IntMon(1, 1), ()),
+    (1, MatUnit(0, 0), ()), (1, MatUnit(1, 2), ()), (1, MatUnit(500, 501), ()),
+    (1, DiffMon(0, 999), ()),
+]
+
+
+def _power_outcome(power, b, k):
+    """The modes and terms in their order with each coefficient's type, or
+    the class and message of the error."""
+    try:
+        a = power(b, k)
+    except (LimitExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+    return a.modes, [(m, v, type(v)) for m, v in a.terms.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_term_powers_are_binary_powering(n):
+    # at each factor i, in full mode and with every factor in quotient mode,
+    # where the matrix units are projected away
+    for i in range(n):
+        for c, word, refused in ONE_TERM:
+            a = InElement(n, {(HMon(0),) * i + (word,) + (HMon(0),) * (n - 1 - i): c})
+            for b in (a, project_modulo_prime(a, range(1, n + 1))):
+                for k in [-1, *range(14), *refused]:
+                    assert _power_outcome(pow, b, k) == _power_outcome(Sparse.__pow__, b, k), (word, k)
+
+
+def test_x_power_refusal_is_the_pair_limit():
+    # binary powering of x would square for seconds before refusing x^385:
+    # the 129 terms of x^129 against the 256 of x^256 (test_parser checks
+    # the closed form's refusals against binary powering)
+    for b in (X, -X, Fraction(3, 2) * X, parse_operator("x2", 3)):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="^a product of 33024 term pairs, beyond the limit 32768$"):
+            b**385
+        assert time.perf_counter() - start < 0.1
