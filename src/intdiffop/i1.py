@@ -14,7 +14,8 @@ by e[0,0]*int = 0 and d*e[0,0] = 0.
 
 Monomial products are closed forms over Python ints, with no memo; every
 monomial they emit is interned, so results share one tuple per monomial.
-Powers of x take the closed form x^k = int^k H(H+1)...(H+k-1).
+Powers of x take the closed form x^k = int^k H(H+1)...(H+k-1).  Elements
+print in the grouped form of Eq. (4); `word_text` prints a word at any factor.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from math import comb, factorial, perm
 
 from .errors import LimitExceeded
 from .laurent import B1Element
-from .polyh import PolyH, _conv, nonneg_shifted_roots
-from .sparse import Sparse, _acc, _check_pairs, _integral
+from .polyh import PolyH, _conv, join_terms, nonneg_shifted_roots, poly_terms, power_text, term_text
+from .sparse import Sparse, _acc, _check_pairs, _check_power_bits, _integral
 
 
 def DiffMon(j: int, i: int) -> tuple:
@@ -53,6 +54,16 @@ _UNIT = HMon(0)
 # the word of each generator but the matrix units, by its name in text
 GEN_MONOS = {"x": IntMon(1, 1), "d": DiffMon(0, 1), "int": IntMon(1, 0), "H": HMon(1)}
 _X = GEN_MONOS["x"]
+
+
+def word_text(m, idx: int = 1) -> list:
+    """The factors that print the basis monomial m at factor idx:
+    H^j d^i, int^i H^j or e[s,t]."""
+    tag, k, j = m
+    if tag:
+        return [f"e{idx}[{k},{j}]"]
+    h = power_text(f"H{idx}", j)
+    return h + power_text(f"d{idx}", -k) if k < 0 else power_text(f"int{idx}", k) + h
 
 
 def mono_degree(m) -> int:
@@ -202,9 +213,12 @@ class I1Element(Sparse):
         return self._new(_integral(_words_mul(self.terms, other.terms)))
 
     def __pow__(self, k: int):
-        """(c*x)**k is c^k x^k in closed form, else Sparse.__pow__; bench/tracing.py
-        patches it by name per class (tests/test_trace_points.py)."""
+        """(c*x)**k is c^k x^k in closed form, else Sparse.__pow__; the closed
+        form checks the coefficient budget ahead of its pair checks, as
+        Sparse.__pow__ does.  bench/tracing.py patches it by name per class
+        (tests/test_trace_points.py)."""
         if k >= 0 and self.terms.keys() == {_X}:
+            _check_power_bits(self.terms, k)
             return self._new(_x_power(k)).scale(self.terms[_X] ** k)
         return Sparse.__pow__(self, k)
 
@@ -220,11 +234,25 @@ class I1Element(Sparse):
     def is_in_F(self) -> bool:
         return all(m[0] for m in self.terms)
 
-    def __repr__(self):
-        from .opparser import format_operator
-        from .tensor import from_i1
-
-        return f"I1Element({format_operator(from_i1(self))})"
+    def to_text(self) -> str:
+        """The Eq.-(4)-ordered grouped form: the words of each degree k != 0
+        with an H1-polynomial of several terms share it in brackets, to the
+        left of d1^-k and to the right of int1^k; matrix units come last."""
+        polys, units = {}, []
+        for m, v in sorted(self.terms.items()):
+            if m[0]:
+                units.append(term_text(v, word_text(m)))
+            else:
+                polys.setdefault(m[1], {})[m[2]] = v
+        segs = []
+        for k, p in polys.items():
+            if k and len(p) > 1:
+                op = word_text((0, k, 0))
+                inner = "(" + join_terms(poly_terms(p, "H1")) + ")"
+                segs.append((1, "*".join([inner, *op] if k < 0 else [*op, inner])))
+            else:
+                segs += (term_text(c, word_text((0, k, j))) for j, c in reversed(p.items()))
+        return join_terms(segs + units)
 
 
 def generators():

@@ -55,9 +55,6 @@ class _Skew(Sparse):
             segs.append((sign, "*".join(factors) or body))
         return join_terms(segs)
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_text()})"
-
 
 class B1Element(_Skew):
     """Skew Laurent polynomial with K[H] coefficients."""

@@ -1,4 +1,4 @@
-"""Parser and pretty-printer for operator expressions and polynomials.
+"""Parser for operator expressions and polynomials.
 
 Grammar (EBNF):
 
@@ -16,13 +16,14 @@ reported ahead of a syntax error earlier in the text.  `^`
 binds tighter than unary minus, which binds tighter than `*`.  Implicit
 multiplication is rejected.  The Unicode aliases for d and int are accepted
 on input only.  Parentheses and unary minus may nest at most MAX_DEPTH deep,
-which also bounds the recursion of the evaluator over the parsed tree.  A
-power c^k with k*log2|c| beyond MAX_POWER_BITS bits is refused at once.
+which also bounds the recursion of the evaluator over the parsed tree.
 Generators at different factors commute, so a product's leading literals,
 generators and one-word powers (d^k, int^k and H^k) are multiplied as one I1
 word map per factor and expanded once; the factors after them are multiplied
-as elements, and powers are the elements' `**`.  A bad n is refused by the
-element constructors, ahead of any error in the text.
+as elements, and powers are the elements' `**`, which refuses a power past
+sparse.MAX_POWER_BITS at once.  A bad n is refused by the element
+constructors, ahead of any error in the text.  Elements print themselves:
+`format_operator` and `format_poly` are their `to_text`.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .errors import IndexOutOfRange, LimitExceeded, NegativeExponent, OperatorSyntaxError
+from .errors import IndexOutOfRange, NegativeExponent, OperatorSyntaxError
 from .i1 import _UNIT, GEN_MONOS, MAX_DEGREE, MatUnit, _words_mul
-from .polyh import join_terms, poly_terms, power_text, term_text
 from .sparse import _acc, _bounded_product, _integral
-from .tensor import MAX_TERMS, MODE_FULL, MODE_QUOT, InElement, PolyXn, _expand_into, _gen
+from .tensor import MAX_TERMS, InElement, PolyXn, _expand_into, _gen
 
 MAX_DEPTH = 200
-MAX_POWER_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------- tokens
@@ -205,12 +204,7 @@ def _evaluate(node, one, leaf):
     if isinstance(node, Neg):
         return -_evaluate(node.arg, one, leaf)
     if isinstance(node, Pow):
-        base = _evaluate(node.base, one, leaf)
-        c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
-        if (bits := node.exp * (c.bit_length() - 1)) > MAX_POWER_BITS:
-            raise LimitExceeded(
-                f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")
-        return base ** node.exp
+        return _evaluate(node.base, one, leaf) ** node.exp
     if isinstance(node, Mul):
         acc, rest = _fold(node.factors, one) if isinstance(one, InElement) else (one, node.factors)
         for f in rest:
@@ -284,65 +278,11 @@ def parse_poly(src: str, n: int = 1) -> PolyXn:
 
 # ---------------------------------------------------------------- printing
 
-def _format_i1(a: InElement) -> str:
-    """Eq.-(4)-ordered grouped form for a single factor: H-polynomials to the
-    left of each d-power and to the right of each int-power."""
-    polys, units = {}, []
-    for ((tag, k, j),), v in a.sorted_terms():
-        if tag:
-            units.append(term_text(v, [f"e1[{k},{j}]"]))
-        else:
-            polys.setdefault(k, {})[j] = v
-    segs = []
-    for k, p in polys.items():
-        if k == 0:
-            segs.extend(poly_terms(p, "H1"))
-        else:
-            segs.append(_grouped_text(p, power_text("d1" if k < 0 else "int1", abs(k)), k < 0))
-    return join_terms(segs + units)
-
-
-def _grouped_text(p: dict, op: list, left: bool) -> tuple:
-    """(sign, body) of the polynomial p in H1 next to the factors op, on
-    their left or right; a polynomial of several terms is bracketed."""
-    if len(p) > 1:
-        inner = "(" + join_terms(poly_terms(p, "H1")) + ")"
-        return 1, "*".join([inner, *op] if left else [*op, inner])
-    ((j, c),) = p.items()
-    h = power_text("H1", j)
-    return term_text(c, h + op if left else op + h)
-
-
-def _factor_mono_text(m, mode: str, idx: int):
-    if mode == MODE_QUOT:
-        # the Laurent monomial H^j D^d
-        d, j = m
-        return power_text(f"H{idx}", j) + power_text(f"D{idx}", d)
-    tag, k, j = m
-    if tag:
-        return [f"e{idx}[{k},{j}]"]
-    h = power_text(f"H{idx}", j)
-    if k < 0:
-        return h + power_text(f"d{idx}", -k)
-    return power_text(f"int{idx}", k) + h
-
-
 def format_operator(a: InElement) -> str:
     """Deterministic canonical text; parse(format(a)) = a for full-mode a."""
-    if a.n == 1 and a.modes == (MODE_FULL,):
-        return _format_i1(a)
-    return join_terms(
-        term_text(v, [
-            f for k, (m, mode) in enumerate(zip(tup, a.modes))
-            for f in _factor_mono_text(m, mode, k + 1)
-        ])
-        for tup, v in a.sorted_terms()
-    )
+    return a.to_text()
 
 
 def format_poly(p: PolyXn) -> str:
     """Canonical text of a polynomial in x1..xn."""
-    return join_terms(
-        term_text(v, [f for k, e in enumerate(deg) for f in power_text(f"x{k + 1}", e)])
-        for deg, v in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    )
+    return p.to_text()

@@ -277,9 +277,6 @@ class PolyH(Sparse):
         """Canonical printing in descending degree, e.g. `2*H^2 - 1/3`."""
         return join_terms(poly_terms(self.terms, var))
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_text()})"
-
 
 H = PolyH.monomial(1)
 ONE = PolyH.const(1)
@@ -478,13 +475,26 @@ class RatFunc:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        if other.is_zero():
+            raise DivisionByZero("inverse of the zero rational function")
+        if self.is_zero():
+            return RatFunc(0)
+        # crosswise as in __mul__: (n1/d1) / (n2/d2) is (n1*d2)/(d1*n2), and
+        # after gcd(n1, n2) and gcd(d2, d1) are divided out nothing is left to
+        # cancel; d1/gcd is monic, so one scaling by 1/lc(n2/gcd) makes the
+        # denominator monic
+        _, n1, n2 = _cofactors(self.num, other.num)
+        _, d2, d1 = _cofactors(other.den, self.den)
+        num, den = n1 * d2, d1 * n2
+        if (inv := 1 / n2.leading_coeff()) == 1:
+            return RatFunc._reduced(num, den)
+        return RatFunc._reduced(num.scale(inv), den.scale(inv))
 
     def __rtruediv__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def shift(self, k: int) -> "RatFunc":
         # tau^k is a ring automorphism that keeps degrees and leading

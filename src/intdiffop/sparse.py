@@ -10,12 +10,14 @@ is stored, and equal keys add up.  A product rule that accumulates raw
 values coerces its result map once, with `_integral`.  An `int` and an equal
 `Fraction` compare, hash and print alike, so the two may mix.  It holds the
 only constructor loop, scalar embedding, `coeffs` copy and scalar
-`__rmul__`, and the only linear operations, equality, hashing and powers,
-which refuse a product beyond MAX_POWER_PAIRS.  A subclass supplies the key
-of 1 (`_unit_key`), optionally its own `_coerce`, and, where it has one, its
-product rule; a subclass whose elements carry context, such as a factor
-count, also supplies `_new`, `_check` and `_context`, and sets that context
-before calling `Sparse.__init__`.
+`__rmul__`, the only linear operations, equality, hashing and `Type(text)`
+repr, and the only powers, which refuse a rational base whose power would
+pass MAX_POWER_BITS and any product beyond MAX_POWER_PAIRS.  A subclass
+supplies the key of 1 (`_unit_key`), its `to_text`, optionally its own
+`_coerce`, and, where it has one, its product rule; a subclass whose
+elements carry context, such as a factor count, also supplies `_new`,
+`_check` and `_context`, and sets that context before calling
+`Sparse.__init__`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .errors import LimitExceeded
 # benchmark pair at most 2,401; the fifth squaring of d1 + int1 + H1 would
 # pair 160,801.
 MAX_POWER_PAIRS = 1 << 15
+
+# `**` refuses, with LimitExceeded and before any product, a power c^k whose
+# coefficients would pass this many bits: k * floor(log2 c) for c the largest
+# numerator or denominator of the base's rational coefficients.
+MAX_POWER_BITS = 1 << 16
 
 
 def _rat(v) -> int | Fraction:
@@ -182,6 +189,7 @@ class Sparse:
         # popcount(k) + bit_length(k) - 1 products
         if k < 0:
             raise ValueError("negative power")
+        _check_power_bits(self.terms, k)
         result = self._scalar(1)
         base = self
         while k:
@@ -191,6 +199,19 @@ class Sparse:
             if k:
                 base = _bounded_product(base, base)
         return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+def _check_power_bits(terms: dict, k: int):
+    """Refuse the k-th power of a term map whose int or Fraction coefficients
+    would grow beyond MAX_POWER_BITS bits; other coefficients are not counted."""
+    c = max((max(abs(v.numerator), v.denominator)
+             for v in terms.values() if isinstance(v, (int, Fraction))), default=1)
+    if (bits := k * (c.bit_length() - 1)) > MAX_POWER_BITS:
+        raise LimitExceeded(
+            f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")
 
 
 def _check_pairs(pairs: int):

@@ -9,6 +9,8 @@ It prints on the monomials H^j D^d of the skew Laurent algebra `B1Element`
 (d -> D, int -> D^-1).  The involution and the grading of I1 keep F, so they
 act on both modes key by key.  Quotients by sums of the height-one primes are
 realized by flipping factors into quotient mode.  A power of one monomial is an I1 power.
+Elements print themselves: one full-mode factor as its I1 element does, any
+other element term by term, and the polynomials in x_1..x_n they act on too.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .i1 import (
     mono_degree,
     mono_involution,
     quotient_terms,
+    word_text,
 )
 from .lattice import IdealAntichain, ideal_includes
+from .polyh import join_terms, power_text, term_text
 from .sparse import Sparse, _acc, _integral
 
 MODE_FULL = "I"
@@ -189,11 +193,27 @@ class InElement(Sparse):
             ), v)
         return sorted(out.items())
 
-    def __repr__(self):
-        from .opparser import format_operator
+    def to_text(self) -> str:
+        """Canonical text; parse_operator(a.to_text(), a.n) = a in full mode."""
+        if self.n == 1 and self.modes == (MODE_FULL,):
+            return to_i1(self).to_text()
+        return join_terms(
+            term_text(v, [
+                f for i, (m, mode) in enumerate(zip(tup, self.modes), 1)
+                for f in (word_text(m, i) if mode == MODE_FULL else _pair_text(m, i))
+            ])
+            for tup, v in self.sorted_terms()
+        )
 
+    def __repr__(self):
         modes = f"modes={self.modes}, " if MODE_QUOT in self.modes else ""
-        return f"InElement({modes}{format_operator(self)})"
+        return f"InElement({modes}{self.to_text()})"
+
+
+def _pair_text(pair: tuple, i: int) -> list:
+    """The factors that print the pair (d, j) = H^j D^d at factor i."""
+    d, j = pair
+    return power_text(f"H{i}", j) + power_text(f"D{i}", d)
 
 
 def tensor(factors) -> InElement:
@@ -285,10 +305,15 @@ class PolyXn(Sparse):
                 _acc(out, tuple(a + b for a, b in zip(d1, d2)), v1 * v2)
         return self._new(out)
 
-    def __repr__(self):
-        from .opparser import format_poly
+    def to_text(self) -> str:
+        """Canonical text, highest total degree first."""
+        return join_terms(
+            term_text(v, [f for i, e in enumerate(deg, 1) for f in power_text(f"x{i}", e)])
+            for deg, v in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        )
 
-        return f"PolyXn(n={self.n}, {format_poly(self)})"
+    def __repr__(self):
+        return f"PolyXn(n={self.n}, {self.to_text()})"
 
 
 def apply_n(a: InElement, p: PolyXn) -> PolyXn:

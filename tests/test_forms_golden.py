@@ -9,7 +9,7 @@ After an intended change of printed output, rebuild the file with
 import random
 from pathlib import Path
 
-from intdiffop import format_operator, from_i1, left_divide, project_modulo_prime, right_divide
+from intdiffop import format_operator, from_i1, left_divide, project_modulo_prime, right_divide, to_i1
 from intdiffop.laurent import CalB1Element
 
 from conftest import calb1_coefficients, is_exact, rand_calb1, rand_calb1_nonzero, rand_i1, rand_in
@@ -53,6 +53,14 @@ def forms_text() -> str:
 
 def test_canonical_forms_match_the_golden():
     assert forms_text() == FORMS.read_text()
+
+
+def test_one_factor_lines_are_the_i1_elements_own_text():
+    golden = dict(line.split(": ", 1) for line in FORMS.read_text().splitlines())
+    lines = [(label, v) for label, (v, *_) in forms() if " i1 " in label]
+    assert len(lines) == 3 * len(SEEDS)
+    for label, value in lines:
+        assert to_i1(value).to_text() == golden[label], label
 
 
 def test_every_stored_coefficient_is_an_int_or_a_proper_fraction():

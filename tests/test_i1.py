@@ -16,6 +16,7 @@ from intdiffop import (
     apply,
     decompose_lemma21,
     faithful_bound,
+    format_operator,
     generators,
     idempotent_sum,
     ker_right_mult_poly,
@@ -475,3 +476,19 @@ class TestIsInF:
             f = e(rng.randint(0, 3), rng.randint(0, 3))
             assert (a * f * a).is_in_F()
         assert (e(0, 0) * (H * D)).is_in_F()
+
+
+class TestText:
+    def test_repr_pins_the_grouped_form(self):
+        a = 2 * D * D * H - INT * H + Fraction(1, 3) * INT * H * H + e(2, 1) - 3 + H * H + D - INT * INT
+        assert repr(a) == (
+            "I1Element((2*H1 + 4)*d1^2 + d1 + H1^2 - 3 + int1*(1/3*H1^2 - H1) - int1^2 + e1[2,1])"
+        )
+        assert repr(I1Element()) == "I1Element(0)"
+
+    def test_text_is_the_one_factor_operator_text(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            a, b = rand_i1(rng, terms=6), rand_i1(rng)
+            for c in (a, a * b, a - a):
+                assert c.to_text() == format_operator(from_i1(c)), c.terms

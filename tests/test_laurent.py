@@ -46,6 +46,12 @@ class TestText:
     def test_to_text(self, b, text):
         assert b.to_text("D", "H1") == text
 
+    def test_repr(self):
+        b = B1Element({1: H * Fraction(1, 2), 0: -2 * H - 1, -2: -H + 3})
+        assert repr(b) == "B1Element((1/2*H)*D - 2*H - 1 - (H - 3)*D^-2)"
+        c = CalB1Element({1: RatFunc(-H - 1, H + 3), 0: Fraction(2, 3), -1: RatFunc(-H, H + 3)})
+        assert repr(c) == "CalB1Element(((-H - 1)/(H + 3))*D + 2/3 - (H/(H + 3))*D^-1)"
+
 
 class TestMul:
     def test_d_h(self):

@@ -751,6 +751,25 @@ class TestRatFuncFastPaths:
             n, d = f.num * g.den + g.num, g.den * f.den
             assert typed_ratfunc(RatFunc(n, d)) == typed_ratfunc(reference_ratfunc(n, d))
 
+    def test_quotients_are_the_products_by_the_inverse(self):
+        # the crosswise quotient against self * other.inverse(): values,
+        # coefficient types, hashes and text
+        cancels = 0
+        for f, g in fast_path_pairs():
+            for a, b in ((f, g), (g, f), (f, g.num), (f.num, g), (f, Fraction(-2, 9))):
+                x, y = (v if isinstance(v, RatFunc) else RatFunc(v) for v in (a, b))
+                if y.is_zero():
+                    with pytest.raises(DivisionByZero, match="inverse of the zero rational function"):
+                        a / b
+                    continue
+                got, want = a / b, x * y.inverse()
+                assert typed_ratfunc(got) == typed_ratfunc(want), (a, b)
+                assert hash(got) == hash(want) and got.to_text() == want.to_text()
+                assert_reduced(got)
+                cancels += got.den.degree() < x.den.degree() + y.num.degree() and not got.is_zero()
+        # the planted factors really cancel
+        assert cancels >= 150, cancels
+
     def test_rational_scalars(self):
         for f, _ in fast_path_pairs()[:60]:
             c = f.num.leading_coeff() or Fraction(-2, 9)
@@ -817,6 +836,10 @@ class TestText:
 
     def test_zero_text(self):
         assert PolyH().to_text() == "0"
+
+    def test_repr(self):
+        assert repr(PolyH({0: Fraction(-1, 3), 2: 2, 5: -1})) == "PolyH(-H^5 + 2*H^2 - 1/3)"
+        assert repr(PolyH()) == "PolyH(0)"
 
     def test_poly_x_stays_poly_x(self):
         p = PolyX({0: 1, 3: 2})

@@ -1,7 +1,8 @@
 """Binary powers: x**k is the k-fold product and costs
 popcount(k) + bit_length(k) - 1 products (no squaring after the last bit).
 A one-term power takes the closed form of x^k or its factor's I1 power and
-must give what binary powering gives."""
+must give what binary powering gives.  Every `**` refuses a power past the
+coefficient budget before any product, with the parser's message."""
 
 import time
 from fractions import Fraction
@@ -27,7 +28,7 @@ from intdiffop import (
 from intdiffop import sparse
 from intdiffop.errors import LimitExceeded
 from intdiffop.laurent import CalB1Element
-from intdiffop.sparse import Sparse
+from intdiffop.sparse import MAX_POWER_BITS, Sparse
 
 D, INT, H, X = generators()
 HP = PolyH.monomial(1)
@@ -134,3 +135,57 @@ def test_x_power_refusal_is_the_pair_limit():
         with pytest.raises(LimitExceeded, match="^a product of 33024 term pairs, beyond the limit 32768$"):
             b**385
         assert time.perf_counter() - start < 0.1
+
+
+# bases whose largest coefficient 3 gives one bit per power: every `**`
+# refuses a power beyond MAX_POWER_BITS before any product, as parsed text is
+BUDGET_TEXTS = ["3*d1 + int2", "3*d1", "3"]
+BUDGET = {
+    **{f"InElement {t}": parse_operator(t, 2) for t in BUDGET_TEXTS},
+    **{f"InElement quotient {t}": project_modulo_prime(parse_operator(t, 2), [1, 2])
+       for t in BUDGET_TEXTS},
+    "I1Element x": 3 * X,
+    "I1Element": 3 * D + INT,
+    "PolyH": PolyH({0: 3, 1: 1}),
+    "PolyXn": parse_poly("3*x1 + x2", 2),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET)
+def test_power_refuses_the_coefficient_budget_at_once(name):
+    for k in (MAX_POWER_BITS + 1, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded) as exc:
+            BUDGET[name] ** k
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == f"a power with {k}-bit coefficients, beyond the limit {MAX_POWER_BITS}"
+
+
+@pytest.mark.parametrize("text", BUDGET_TEXTS)
+def test_the_parser_refuses_with_the_elements_message(text):
+    k = 10**8
+    with pytest.raises(LimitExceeded) as parsed:
+        parse_operator(f"({text})^{k}", 2)
+    with pytest.raises(LimitExceeded) as element:
+        parse_operator(text, 2) ** k
+    assert str(parsed.value) == str(element.value)
+
+
+def test_the_budget_comes_before_the_pair_checks():
+    # x^k with k past the pair limit and a 1-bit coefficient: the budget is
+    # the first refusal, as in parsed text
+    for b in (3 * X, parse_operator("3*x1", 1)):
+        with pytest.raises(LimitExceeded, match="-bit coefficients"):
+            b ** (MAX_POWER_BITS + 1)
+        with pytest.raises(LimitExceeded, match="term pairs"):
+            b ** 385
+
+
+@pytest.mark.parametrize("minus_one", [
+    I1Element.from_scalar(-1), InElement.from_scalar(2, -1), PolyH.const(-1), PolyXn.one(2).scale(-1),
+    project_modulo_prime(InElement.from_scalar(2, -1), [1]),
+])
+def test_unit_scalar_powers_stay_allowed(minus_one):
+    # coefficients of one bit length do not grow, whatever the exponent
+    for k in (10**11, 10**11 + 1):
+        assert minus_one ** k == (-1) ** k

@@ -48,7 +48,7 @@ from intdiffop.errors import (  # noqa: E402
     LimitExceeded,
     OperatorSyntaxError,
 )
-from intdiffop.sparse import Sparse, _bounded_product  # noqa: E402
+from intdiffop.sparse import MAX_POWER_BITS, Sparse, _bounded_product  # noqa: E402
 
 from conftest import matrix_oracle_agrees  # noqa: E402
 from test_polyh import (  # noqa: E402
@@ -313,9 +313,9 @@ def reference_operator(text: str, n: int):
         if isinstance(node, opparser.Pow):
             base = value(node.base)
             c = max((max(abs(v.numerator), v.denominator) for v in base.terms.values()), default=1)
-            if (bits := node.exp * (c.bit_length() - 1)) > opparser.MAX_POWER_BITS:
+            if (bits := node.exp * (c.bit_length() - 1)) > MAX_POWER_BITS:
                 raise LimitExceeded(
-                    f"a power with {bits}-bit coefficients, beyond the limit {opparser.MAX_POWER_BITS}")
+                    f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")
             return Sparse.__pow__(base, node.exp)  # binary powering, not the closed forms of **
         if isinstance(node, opparser.Mul):
             acc = one
