@@ -26,7 +26,7 @@ from math import comb, factorial, perm
 from .errors import LimitExceeded
 from .laurent import B1Element
 from .polyh import PolyH, _conv, join_terms, nonneg_shifted_roots, poly_terms, power_text, term_text
-from .sparse import Sparse, _acc, _check_pairs, _check_power_bits, _integral
+from .sparse import MAX_DEGREE, Sparse, _acc, _check_pairs, _check_power_bits, _integral
 
 
 def DiffMon(j: int, i: int) -> tuple:
@@ -83,13 +83,6 @@ def _binomial_row(c: int, j: int) -> list:
         return [0] * j + [1]
     return [comb(j, i) * c ** (j - i) for i in range(j + 1)]
 
-
-# A monomial product whose two factors hold more than this many letters in
-# total is refused with LimitExceeded: int^k and d^k count k, H^j counts j
-# and e[s,t] = int^s e[0,0] d^t counts s + t.  It bounds the terms one product
-# emits and the size of their coefficients.  The largest monomial product of
-# the test suite and the benchmark has 40 letters.
-MAX_DEGREE = 1000
 
 # Every monomial a product emits is interned here, so that results share one
 # tuple per distinct basis monomial.

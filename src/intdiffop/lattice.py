@@ -3,7 +3,10 @@
 An ideal is an antichain of Boolean functions {1..n} -> {0,1}; each function
 is a bitmask (bit i-1 set means value 1 at slot i).  Sum is join, product is
 meet (product = intersection), and the empty antichain is the zero ideal.
-The number of ideals is the Dedekind number.
+The number of ideals is the Dedekind number.  `IdealAntichain(n, masks)`
+keeps the maximal masks of whatever it is given, so equal ideals are equal
+antichains; only the enumeration and the two constant ideals, which know
+their antichains, skip that step through `IdealAntichain._new`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class IdealAntichain:
 
     __slots__ = ("n", "masks")
 
-    def __init__(self, n: int, masks=(), _normalized=False):
+    def __init__(self, n: int, masks=()):
+        """The ideal generated by any masks over n slots, as its maximal masks."""
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
@@ -39,11 +43,19 @@ class IdealAntichain:
         for m in masks:
             if not 0 <= m < (1 << n):
                 raise ValueError(f"mask {m} outside 0..2^{n}-1")
-        if not _normalized:
-            # the maximal masks are the complements of the minimal zero sets
-            full = (1 << n) - 1
-            masks = {full ^ z for z in _minimal(full ^ m for m in masks)}
-        self.masks = tuple(sorted(masks))
+        # the maximal masks are the complements of the minimal zero sets
+        full = (1 << n) - 1
+        self.masks = tuple(sorted(full ^ z for z in _minimal(full ^ m for m in masks)))
+
+    @classmethod
+    def _new(cls, n: int, masks: tuple) -> "IdealAntichain":
+        """The antichain of masks over n slots that the caller knows to be
+        maximal and sorted, without normalising."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        c = object.__new__(cls)
+        c.n, c.masks = n, masks
+        return c
 
     @classmethod
     def zero(cls, n: int) -> "IdealAntichain":
@@ -51,7 +63,7 @@ class IdealAntichain:
 
     @classmethod
     def full(cls, n: int) -> "IdealAntichain":
-        return cls(n, [(1 << n) - 1], _normalized=True)
+        return cls._new(n, ((1 << n) - 1,))
 
     def is_zero(self) -> bool:
         return not self.masks
@@ -142,12 +154,9 @@ def prime_index_set(c: IdealAntichain):
     """The slot set I with c = prime_ideal(I), or None if c is not prime."""
     if not is_prime(c):
         return None
+    # each generator misses exactly one slot
     full = (1 << c.n) - 1
-    out = set()
-    for m in c.masks:
-        missing = full & ~m
-        out.add(missing.bit_length())
-    return frozenset(out)
+    return frozenset((full ^ m).bit_length() for m in c.masks)
 
 
 def minimal_primes_over(c: IdealAntichain):
@@ -184,7 +193,8 @@ def enumerate_ideals(n: int):
     out = []
 
     def extend(chosen, start):
-        out.append(IdealAntichain(n, chosen, _normalized=True))
+        # chosen is an antichain in increasing order
+        out.append(IdealAntichain._new(n, tuple(chosen)))
         for k in range(start, len(masks)):
             f = masks[k]
             if all(not _comparable(f, g) for g in chosen):
@@ -210,4 +220,4 @@ def maximal_ideal(n: int) -> IdealAntichain:
 
 def minimum_nonzero_ideal(n: int) -> IdealAntichain:
     """The intersection of all height-one primes (all-zeros generator)."""
-    return IdealAntichain(n, [0], _normalized=True)
+    return IdealAntichain._new(n, (0,))

@@ -4,7 +4,10 @@ Elements are sparse maps Laurent-degree -> coefficient, representing
 sum alpha_d(H) * D^d with the commutation rule D^d * alpha(H) = alpha(H+d) * D^d.
 Coefficients are PolyH (integral version) or RatFunc (field version); over
 K(H) the algebra is a noncommutative Euclidean domain for the length
-function, and one division loop serves both sides.
+function, and one division loop serves both sides.  A power refuses, before
+its first product, an exponent k whose k times the largest term size passes
+MAX_DEGREE letters: alpha(H) D^d counts |d| plus the H-degrees of alpha's
+numerator and denominator.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ class _Skew(Sparse):
             for e, b in other.terms.items():
                 _acc(out, d + e, a * b.shift(d))
         return self._new(out)
+
+    def _term_size(self) -> int:
+        # alpha(H) D^d counts |d| and the letters of alpha
+        return max((abs(d) + c._term_size() for d, c in self.terms.items()), default=0)
 
     def top_degree(self):
         return max(self.terms) if self.terms else None

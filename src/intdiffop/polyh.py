@@ -11,7 +11,10 @@ entry is multiplied by n and divided by d in ints, and a Fraction is built
 only for a value that is not integral, so an integral value is an int.
 Rational functions stay reduced by cancelling crosswise in products and by
 Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
-so only small gcds are ever taken, and only a sum makes its gcd monic.
+so only small gcds are ever taken, and only a sum makes its gcd monic.  A
+quotient is the crosswise product by the swapped pair den/num and an inverse
+is that pair; each is scaled once to a monic denominator, with no gcd of its
+own.
 """
 
 from __future__ import annotations
@@ -191,6 +194,10 @@ class PolyH(Sparse):
     def degree(self):
         """Degree, or None for the zero polynomial."""
         return max(self.terms) if self.terms else None
+
+    def _term_size(self) -> int:
+        # H^j counts j letters
+        return max(self.terms, default=0)
 
     def leading_coeff(self) -> Fraction:
         """The top coefficient as a Fraction, so that 1 / lc stays exact."""
@@ -380,13 +387,22 @@ class RatFunc:
 
     @staticmethod
     def _reduced(num: PolyH, den: PolyH) -> "RatFunc":
-        """num/den for a coprime pair whose den is monic, without normalising."""
+        """num/den for a coprime pair, as given: no gcd and no scaling."""
         r = object.__new__(RatFunc)
         r.num, r.den = num, den
         return r
 
+    def _monic(self) -> "RatFunc":
+        """self, with both parts scaled once so that den is monic."""
+        if (inv := 1 / self.den.leading_coeff()) == 1:
+            return self
+        return RatFunc._reduced(self.num.scale(inv), self.den.scale(inv))
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def _term_size(self) -> int:
+        return self.num._term_size() + self.den._term_size()
 
     def __bool__(self):
         return bool(self.num)
@@ -418,7 +434,7 @@ class RatFunc:
             return NotImplemented
         if self.den == other.den:
             # equal denominators d: only gcd(n1 + n2, d) can divide both
-            e1 = None
+            e1 = e2 = ONE
             g, t = self.den, self.num + other.num
         else:
             # Henrici's sum (Knuth, TAOCP vol. 2, §4.5.1): with d1 = g*e1
@@ -430,9 +446,7 @@ class RatFunc:
         if t.is_zero():
             return RatFunc(t)
         _, t, g = _cofactors(t, g)
-        if e1 is not None:
-            g = e1 * e2 * g
-        return RatFunc._reduced(t, g)
+        return RatFunc._reduced(t, e1 * e2 * g)
 
     __radd__ = __add__
 
@@ -455,9 +469,9 @@ class RatFunc:
         if self.is_zero() or other.is_zero():
             return RatFunc(0)
         # crosswise cancellation (Knuth, TAOCP vol. 2, §4.5.1): n1/d1 and
-        # n2/d2 are reduced, so after gcd(n1, d2) and gcd(n2, d1) are divided
-        # out nothing is left to cancel; the quotients of monic denominators
-        # by monic gcds are monic, and so is their product
+        # n2/d2 are coprime pairs, so after gcd(n1, d2) and gcd(n2, d1) are
+        # divided out nothing is left to cancel; quotients by monic gcds keep
+        # their leading coefficients, so den is monic when d1 and d2 are
         _, n1, d2 = _cofactors(self.num, other.den)
         _, n2, d1 = _cofactors(other.num, self.den)
         return RatFunc._reduced(n1 * n2, d1 * d2)
@@ -467,9 +481,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
-        if (inv := 1 / self.num.leading_coeff()) == 1:
-            return RatFunc._reduced(self.den, self.num)
-        return RatFunc._reduced(self.den.scale(inv), self.num.scale(inv))
+        return RatFunc._reduced(self.den, self.num)._monic()
 
     def __truediv__(self, other):
         other = self._operand(other)
@@ -477,18 +489,8 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
-        if self.is_zero():
-            return RatFunc(0)
-        # crosswise as in __mul__: (n1/d1) / (n2/d2) is (n1*d2)/(d1*n2), and
-        # after gcd(n1, n2) and gcd(d2, d1) are divided out nothing is left to
-        # cancel; d1/gcd is monic, so one scaling by 1/lc(n2/gcd) makes the
-        # denominator monic
-        _, n1, n2 = _cofactors(self.num, other.num)
-        _, d2, d1 = _cofactors(other.den, self.den)
-        num, den = n1 * d2, d1 * n2
-        if (inv := 1 / n2.leading_coeff()) == 1:
-            return RatFunc._reduced(num, den)
-        return RatFunc._reduced(num.scale(inv), den.scale(inv))
+        # the crosswise product by the swapped pair d2/n2, made monic once
+        return (self * RatFunc._reduced(other.den, other.num))._monic()
 
     def __rtruediv__(self, other):
         other = self._operand(other)
@@ -504,13 +506,9 @@ class RatFunc:
     def to_text(self, var: str = "H") -> str:
         if self.den == ONE:
             return self.num.to_text(var)
-        n = self.num.to_text(var)
-        d = self.den.to_text(var)
-        if len(self.num.terms) > 1:
-            n = f"({n})"
-        if len(self.den.terms) > 1:
-            d = f"({d})"
-        return f"{n}/{d}"
+        # a part of several terms is bracketed
+        return "/".join(f"({p.to_text(var)})" if len(p.terms) > 1 else p.to_text(var)
+                        for p in (self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.to_text()})"

@@ -11,13 +11,15 @@ values coerces its result map once, with `_integral`.  An `int` and an equal
 `Fraction` compare, hash and print alike, so the two may mix.  It holds the
 only constructor loop, scalar embedding, `coeffs` copy and scalar
 `__rmul__`, the only linear operations, equality, hashing and `Type(text)`
-repr, and the only powers, which refuse a rational base whose power would
-pass MAX_POWER_BITS and any product beyond MAX_POWER_PAIRS.  A subclass
-supplies the key of 1 (`_unit_key`), its `to_text`, optionally its own
-`_coerce`, and, where it has one, its product rule; a subclass whose
-elements carry context, such as a factor count, also supplies `_new`,
-`_check` and `_context`, and sets that context before calling
-`Sparse.__init__`.
+repr, and the only powers.  Before the first product a power refuses a base
+whose coefficients would pass MAX_POWER_BITS, counted through polynomial and
+rational-function coefficients, then one whose terms would pass MAX_DEGREE
+letters; each product refuses more than MAX_POWER_PAIRS term pairs.  A
+subclass supplies the key of 1 (`_unit_key`), its `to_text`, optionally its
+own `_coerce` and `_term_size`, and, where it has one, its product rule; a
+subclass whose elements carry context, such as a factor count, also
+supplies `_new`, `_check` and `_context`, and sets that context before
+calling `Sparse.__init__`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,18 @@ MAX_POWER_PAIRS = 1 << 15
 
 # `**` refuses, with LimitExceeded and before any product, a power c^k whose
 # coefficients would pass this many bits: k * floor(log2 c) for c the largest
-# numerator or denominator of the base's rational coefficients.
+# numerator or denominator of the rationals in the base's coefficients.
 MAX_POWER_BITS = 1 << 16
+
+# A monomial product of the one-variable algebra whose two factors hold more
+# than this many letters in total is refused with LimitExceeded: int^k and
+# d^k count k, H^j counts j and e[s,t] = int^s e[0,0] d^t counts s + t.  It
+# bounds the terms one product emits and the size of their coefficients.
+# The largest monomial product of the test suite and the benchmark has 40
+# letters.  `**` of a polynomial in H or of a skew Laurent polynomial refuses,
+# before any product, a power k whose k times the largest term size passes it:
+# H^j counts j, D^d counts |d| and num/den counts the degrees of both.
+MAX_DEGREE = 1000
 
 
 def _rat(v) -> int | Fraction:
@@ -104,6 +116,12 @@ class Sparse:
     def _context(self) -> tuple:
         """What besides the terms tells elements of this type apart."""
         return ()
+
+    def _term_size(self) -> int:
+        """The letters of the largest term, which `**` multiplies by the
+        exponent against MAX_DEGREE; 0 for a type whose products count
+        their own letters or have none to count."""
+        return 0
 
     def _operand(self, other):
         """other as an element of self's context, or None for a foreign type."""
@@ -190,6 +208,8 @@ class Sparse:
         if k < 0:
             raise ValueError("negative power")
         _check_power_bits(self.terms, k)
+        if (letters := k * self._term_size()) > MAX_DEGREE:
+            raise LimitExceeded(f"a power of total degree {letters}, beyond the limit {MAX_DEGREE}")
         result = self._scalar(1)
         base = self
         while k:
@@ -204,11 +224,23 @@ class Sparse:
         return f"{type(self).__name__}({self.to_text()})"
 
 
+def _rationals(terms: dict):
+    """The ints and Fractions of a term map, read through the coefficients
+    of polynomial coefficients and of both parts of rational functions."""
+    for v in terms.values():
+        if isinstance(v, (int, Fraction)):
+            yield v
+        elif isinstance(v, Sparse):
+            yield from _rationals(v.terms)
+        else:  # a rational function num/den
+            yield from _rationals(v.num.terms)
+            yield from _rationals(v.den.terms)
+
+
 def _check_power_bits(terms: dict, k: int):
-    """Refuse the k-th power of a term map whose int or Fraction coefficients
-    would grow beyond MAX_POWER_BITS bits; other coefficients are not counted."""
-    c = max((max(abs(v.numerator), v.denominator)
-             for v in terms.values() if isinstance(v, (int, Fraction))), default=1)
+    """Refuse the k-th power of a term map whose rationals would grow
+    beyond MAX_POWER_BITS bits."""
+    c = max((max(abs(v.numerator), v.denominator) for v in _rationals(terms)), default=1)
     if (bits := k * (c.bit_length() - 1)) > MAX_POWER_BITS:
         raise LimitExceeded(
             f"a power with {bits}-bit coefficients, beyond the limit {MAX_POWER_BITS}")

@@ -42,6 +42,26 @@ class TestNormalize:
     def test_empty_is_zero(self):
         assert normalize(2, []).is_zero()
 
+    def test_the_constructor_normalises_whatever_it_is_given(self):
+        # a dominated mask is dropped, in any order and with repeats: {00,01}
+        # is the ideal {10} (bit 0 printed first)
+        for masks in ([0b00, 0b01], [0b01, 0b00, 0b01], (m for m in (0b00, 0b01))):
+            c = IdealAntichain(2, masks)
+            assert c.masks == (0b01,) and c.to_text() == "{10}"
+            assert c == IdealAntichain(2, [0b01]) and hash(c) == hash(IdealAntichain(2, [0b01]))
+
+    def test_enumerated_ideals_are_the_constructors_antichains(self):
+        # the enumeration builds its antichains without normalising them
+        for c in enumerate_ideals(4):
+            d = IdealAntichain(4, reversed(c.masks))
+            assert c == d and hash(c) == hash(d) and c.masks == d.masks
+        for n in (1, 3):
+            assert IdealAntichain.full(n) == IdealAntichain(n, range(1 << n))
+            assert minimum_nonzero_ideal(n) == IdealAntichain(n, [0])
+        for make in (IdealAntichain, IdealAntichain.full, minimum_nonzero_ideal, enumerate_ideals):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                make(0)
+
     def test_idempotent(self):
         rng = random.Random(61)
         for _ in range(100):

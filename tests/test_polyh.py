@@ -595,6 +595,18 @@ class TestRatFunc:
         assert len(gcd_calls) == 1
         assert total == RatFunc(PolyH.const(1), H + 1)
 
+    def test_gcd_counts_of_quotients_and_inverses(self, gcd_calls):
+        # a quotient takes the two gcds of the crosswise product, and so does
+        # the constructor, which divides; an inverse only scales
+        rng = random.Random(23)
+        for _ in range(20):
+            f, g = rand_ratfunc(rng), rand_ratfunc(rng)
+            for run, want in ((lambda: f / g, 2), (lambda: RatFunc(f.num, g.num), 2),
+                              (f.inverse, 0)):
+                gcd_calls.clear()
+                run()
+                assert len(gcd_calls) == want
+
     def test_reflected_division(self):
         f = RatFunc(H + 1, 2 * H)
         for left in (1, Fraction(-2, 3), H, H * H - 1):
@@ -769,6 +781,50 @@ class TestRatFuncFastPaths:
                 cancels += got.den.degree() < x.den.degree() + y.num.degree() and not got.is_zero()
         # the planted factors really cancel
         assert cancels >= 150, cancels
+
+    def test_quotients_and_inverses_match_their_own_formulas(self):
+        # the quotient's own crosswise formula and the inverse's own scaling,
+        # as they were before both reused the product and one monic scaling:
+        # values, coefficient types, hashes and text
+        def own_quotient(f, g):
+            if f.is_zero():
+                return RatFunc(0)
+            _, n1, n2 = polyh._cofactors(f.num, g.num)
+            _, d2, d1 = polyh._cofactors(g.den, f.den)
+            num, den = n1 * d2, d1 * n2
+            if (inv := 1 / n2.leading_coeff()) == 1:
+                return RatFunc._reduced(num, den)
+            return RatFunc._reduced(num.scale(inv), den.scale(inv))
+
+        def own_inverse(f):
+            if (inv := 1 / f.num.leading_coeff()) == 1:
+                return RatFunc._reduced(f.den, f.num)
+            return RatFunc._reduced(f.den.scale(inv), f.num.scale(inv))
+
+        def same(got, want):
+            assert typed_ratfunc(got) == typed_ratfunc(want)
+            assert hash(got) == hash(want) and got.to_text() == want.to_text()
+
+        rng = random.Random(29)
+        scalars = [0, 1, -3, Fraction(2, 3), Fraction(-7, 4), PolyH(), PolyH.const(Fraction(5, 6))]
+        for f, g in fast_path_pairs():
+            operands = [f, g, g.num, g.den, rng.choice(scalars)]
+            for a in operands:
+                for b in operands:
+                    if not (isinstance(a, RatFunc) or isinstance(b, RatFunc)):
+                        continue
+                    x, y = (v if isinstance(v, RatFunc) else RatFunc(v) for v in (a, b))
+                    if y.is_zero():
+                        with pytest.raises(DivisionByZero, match="^inverse of the zero rational function$"):
+                            a / b
+                        continue
+                    same(a / b, own_quotient(x, y))
+            for x in (f, g):
+                if x.is_zero():
+                    with pytest.raises(DivisionByZero, match="^inverse of the zero rational function$"):
+                        x.inverse()
+                else:
+                    same(x.inverse(), own_inverse(x))
 
     def test_rational_scalars(self):
         for f, _ in fast_path_pairs()[:60]:

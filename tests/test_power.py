@@ -27,7 +27,7 @@ from intdiffop import (
 )
 from intdiffop import sparse
 from intdiffop.errors import LimitExceeded
-from intdiffop.laurent import CalB1Element
+from intdiffop.laurent import B1Element, CalB1Element
 from intdiffop.sparse import MAX_POWER_BITS, Sparse
 
 D, INT, H, X = generators()
@@ -189,3 +189,46 @@ def test_unit_scalar_powers_stay_allowed(minus_one):
     # coefficients of one bit length do not grow, whatever the exponent
     for k in (10**11, 10**11 + 1):
         assert minus_one ** k == (-1) ** k
+
+
+# powers whose cost no pair count sees: coefficients inside polynomials and
+# rational functions, and H- and D-degrees that grow with k.  Each is refused
+# before its first product: the coefficient budget first, then MAX_DEGREE on
+# k times the largest term size (|D-degree| plus the H-degrees of the
+# coefficient's numerator and denominator)
+B1, CALB1 = B1Element, CalB1Element
+DEGREE_REFUSALS = [
+    (B1({1: PolyH.const(3)}), 10**7, "a power with 10000000-bit coefficients, beyond the limit 65536"),
+    (CALB1({0: RatFunc(PolyH.const(1), 3 * HP + 1)}), 10**5,
+     "a power with 100000-bit coefficients, beyond the limit 65536"),
+    (B1({1: 3 * HP}), 10**5, "a power with 100000-bit coefficients, beyond the limit 65536"),
+    (CALB1({1: RatFunc(PolyH.const(3), HP)}), 2000, "a power of total degree 4000, beyond the limit 1000"),
+    (B1({1: HP}), 1000, "a power of total degree 2000, beyond the limit 1000"),
+    (B1({-2: PolyH.const(3)}), 501, "a power of total degree 1002, beyond the limit 1000"),
+    (B1({1: HP}), 10**6, "a power of total degree 2000000, beyond the limit 1000"),
+    (HP, 1001, "a power of total degree 1001, beyond the limit 1000"),
+    (HP, 4_000_000, "a power of total degree 4000000, beyond the limit 1000"),
+    (HP, 10**8, "a power of total degree 100000000, beyond the limit 1000"),
+    (HP + 1, 1001, "a power of total degree 1001, beyond the limit 1000"),
+    (HP + 1, 600, "a product of 66049 term pairs, beyond the limit 32768"),
+]
+
+
+@pytest.mark.parametrize("base,k,message", DEGREE_REFUSALS)
+def test_polynomial_and_skew_powers_are_refused_at_once(base, k, message):
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded) as exc:
+        base**k
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == message
+
+
+def test_polynomial_and_skew_powers_at_the_degree_bound():
+    # (H D)^k = H(H+1)...(H+k-1) D^k, and k = 500 has 1000 letters
+    rising = reduce(lambda acc, i: acc * (HP + i), range(500), PolyH.const(1))
+    assert B1({1: HP}) ** 500 == B1({500: rising})
+    assert B1({-2: PolyH.const(3)}) ** 500 == B1({-1000: PolyH.const(3**500)})
+    assert HP**1000 == PolyH.monomial(1000)
+    for unit in (B1({0: -1}), CALB1({0: -1}), CALB1({0: RatFunc(PolyH.const(-1))})):
+        for k in (10**11, 10**11 + 1):
+            assert unit**k == (-1) ** k
