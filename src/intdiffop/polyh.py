@@ -3,18 +3,20 @@
 Polynomials store exact rational coefficients (`int` or `fractions.Fraction`)
 sparsely by degree; there is no floating point anywhere in the engine, and
 the shift automorphism tau (H -> H+1) is a first-class operation.  Products,
-shifts and the gcd clear denominators and run on primitive integer lists in
-Python ints over contents kept as pairs of ints n/d, which multiply as
-ints; the cofactors p/g and q/g are exact quotients of primitive integer
-lists.  Each result is scaled by its content once, integer first: every
-entry is multiplied by n and divided by d in ints, and a Fraction is built
-only for a value that is not integral, so an integral value is an int.
-Rational functions stay reduced by cancelling crosswise in products and by
-Henrici's rule in sums, where equal denominators d take only gcd(n1 + n2, d),
-so only small gcds are ever taken, and only a sum makes its gcd monic.  A
-quotient is the crosswise product by the swapped pair den/num and an inverse
-is that pair; each is scaled once to a monic denominator, with no gcd of its
-own.
+shifts and the gcd clear denominators and run on forms (a, n, d): a
+primitive integer list a in Python ints over a content kept as a pair of
+ints n/d, which multiply as ints; the cofactors p/g and q/g are exact
+quotients of primitive integer lists.  Each result is scaled by its content
+once, integer first: every entry is multiplied by n and divided by d in
+ints, and a Fraction is built only for a value that is not integral, so an
+integral value is an int.  Rational functions stay reduced by cancelling
+crosswise in products and by Henrici's rule in sums, where equal
+denominators d take only gcd(n1 + n2, d), so only small gcds are ever taken,
+and only a sum makes its gcd monic.  A product or a sum reads each part of
+its operands once as a form, runs its gcds, products and sum on forms, and
+scales each part of its result once.  A quotient is the crosswise product
+by the swapped pair den/num and an inverse is that pair; each is scaled
+once to a monic denominator, with no gcd of its own.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def join_terms(segments) -> str:
 
 # ---------------------------------------------------- integer coefficient lists
 # Dense lists of Python ints, highest degree first; [] is the zero polynomial.
+# A form (a, n, d) is n/d times the primitive list a, as `_primitive` makes it.
 
 def _primitive(terms: dict):
     """(a, n, d): the rational term map as the content n/d times the integer
@@ -156,6 +159,34 @@ def _conv(a: list, b: list) -> list:
     return out
 
 
+def _mul_forms(p, q):
+    """The product of the forms p and q: one convolution, the contents
+    multiplied and reduced; an operand list [1] gives the other list."""
+    (a, n, d), (b, m, e) = p, q
+    n, d = n * m, d * e
+    g = igcd(n, d)
+    return (b if a == [1] else a if b == [1] else _conv(a, b)), n // g, d // g
+
+
+def _add_forms(p, q):
+    """The sum of the forms p and q: the contents cross-multiplied, the lists
+    added aligned at the low end, the leading zeros stripped and the
+    primitive part taken once; ([], 0, 1) for a zero sum."""
+    (a, n, d), (b, m, e) = p, q
+    if len(a) < len(b):
+        a, n, d, b, m, e = b, m, e, a, n, d
+    u, v = n * e, m * d
+    out = [u * x for x in a]
+    for i, y in enumerate(b, len(a) - len(b)):
+        out[i] += v * y
+    g = igcd(*out)
+    if not g:
+        return [], 0, 1
+    i = next(i for i, x in enumerate(out) if x)
+    h = igcd(g, d * e)
+    return [x // g for x in out[i:]], g // h, d * e // h
+
+
 def _scaled(a: list, n: int, d: int) -> dict:
     """The term map of n/d times the integer list a, for ints n and d != 0,
     in Python ints: each product with n stays an int when d divides it, and
@@ -215,10 +246,8 @@ class PolyH(Sparse):
             return other if self.terms[0] == 1 else other.scale(self.terms[0])
         if len(other.terms) == 1 and 0 in other.terms:
             return self if other.terms[0] == 1 else self.scale(other.terms[0])
-        # one convolution of the primitive lists, scaled once by the contents' int product
-        a, n, d = _primitive(self.terms)
-        b, m, e = _primitive(other.terms)
-        return self._new(_scaled(_conv(a, b), n * m, d * e))
+        # one product of the forms, scaled once
+        return self._new(_scaled(*_mul_forms(_primitive(self.terms), _primitive(other.terms))))
 
     __rmul__ = __mul__
 
@@ -346,23 +375,20 @@ def _crossing(a: list, s: int, t: int):
     return s
 
 
-def _cofactors(p: PolyH, q: PolyH):
-    """(G, p/g, q/g) for g = gcd(p, q) of nonzero p and q, with G the
-    primitive integer list of g, [1] for g = 1; no gcd is taken when either
-    is a constant.
+def _cofactors(p, q):
+    """(G, p/g, q/g) for g = gcd(p, q) of the nonzero forms p and q, with G
+    the primitive integer list of g, [1] for g = 1; no gcd is taken when
+    either is a constant.
 
-    With p = (n/d)*a and q = (m/e)*b for primitive integer lists a and b,
-    G = gcd(a, b) divides each of them exactly in Z[H] (Gauss's lemma), so
-    p/g = (n*lc(G)/d) * (a/G), and likewise for q: two integer quotients,
-    each scaled by its integer content once."""
-    if p.degree() and q.degree():
-        a, n, d = _primitive(p.terms)
-        b, m, e = _primitive(q.terms)
+    With p = (n/d)*a and q = (m/e)*b, G = gcd(a, b) divides each of a and b
+    exactly in Z[H] (Gauss's lemma), so p/g is the form of the integer
+    quotient a/G over the content n*lc(G)/d, and likewise for q."""
+    (a, n, d), (b, m, e) = p, q
+    if len(a) > 1 and len(b) > 1:
         g = _prs(a, b)
         if len(g) > 1:
-            lc = g[0]
-            return (g, p._new(_scaled(_exquo(a, g), n * lc, d)),
-                    q._new(_scaled(_exquo(b, g), m * lc, e)))
+            lc = ([1], g[0], 1)  # the constant lc(G) as a form
+            return g, _mul_forms(lc, (_exquo(a, g), n, d)), _mul_forms(lc, (_exquo(b, g), m, e))
     return [1], p, q
 
 
@@ -391,6 +417,11 @@ class RatFunc:
         r = object.__new__(RatFunc)
         r.num, r.den = num, den
         return r
+
+    @staticmethod
+    def _of_forms(num, den) -> "RatFunc":
+        """The coprime pair of the forms num and den, each scaled once."""
+        return RatFunc._reduced(ONE._new(_scaled(*num)), ONE._new(_scaled(*den)))
 
     def _monic(self) -> "RatFunc":
         """self, with both parts scaled once so that den is monic."""
@@ -432,21 +463,21 @@ class RatFunc:
         other = self._operand(other)
         if other is None:
             return NotImplemented
+        n1, n2 = _primitive(self.num.terms), _primitive(other.num.terms)
         if self.den == other.den:
             # equal denominators d: only gcd(n1 + n2, d) can divide both
-            e1 = e2 = ONE
-            g, t = self.den, self.num + other.num
+            e, g, t = ([1], 1, 1), _primitive(self.den.terms), _add_forms(n1, n2)
         else:
             # Henrici's sum (Knuth, TAOCP vol. 2, §4.5.1): with d1 = g*e1
             # and d2 = g*e2 for g = gcd(d1, d2), only gcd(t, g) can divide
             # both t = n1*e2 + n2*e1 and e1*e2*g
-            g, e1, e2 = _cofactors(self.den, other.den)
-            g = self.den._new(_scaled(g, 1, g[0]))
-            t = self.num * e2 + other.num * e1
-        if t.is_zero():
-            return RatFunc(t)
+            g, e1, e2 = _cofactors(_primitive(self.den.terms), _primitive(other.den.terms))
+            e, g = _mul_forms(e1, e2), (g, 1, g[0])
+            t = _add_forms(_mul_forms(n1, e2), _mul_forms(n2, e1))
+        if not t[0]:
+            return RatFunc(0)
         _, t, g = _cofactors(t, g)
-        return RatFunc._reduced(t, e1 * e2 * g)
+        return RatFunc._of_forms(t, _mul_forms(e, g))
 
     __radd__ = __add__
 
@@ -472,9 +503,11 @@ class RatFunc:
         # n2/d2 are coprime pairs, so after gcd(n1, d2) and gcd(n2, d1) are
         # divided out nothing is left to cancel; quotients by monic gcds keep
         # their leading coefficients, so den is monic when d1 and d2 are
-        _, n1, d2 = _cofactors(self.num, other.den)
-        _, n2, d1 = _cofactors(other.num, self.den)
-        return RatFunc._reduced(n1 * n2, d1 * d2)
+        n1, d1 = _primitive(self.num.terms), _primitive(self.den.terms)
+        n2, d2 = _primitive(other.num.terms), _primitive(other.den.terms)
+        _, n1, d2 = _cofactors(n1, d2)
+        _, n2, d1 = _cofactors(n2, d1)
+        return RatFunc._of_forms(_mul_forms(n1, n2), _mul_forms(d1, d2))
 
     __rmul__ = __mul__
 

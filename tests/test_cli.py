@@ -29,6 +29,9 @@ GOLDEN_CASES = [
     ("11_divide.txt", ["divide", "--right", "d1 + H1", "d1 + 1"]),
     ("12_check.txt", ["check", "relations"]),
     ("13_divide_left.txt", ["divide", "--left", "d1^2 - H1*d1 - d1", "d1 + H1"]),
+    # three quotient terms with cancelled rational-function coefficients
+    ("14_divide_rational.txt",
+     ["divide", "--right", "(H1+1)*d1^3 + H1^2*d1 - 3", "(H1-1)*d1^2 + 2*d1"]),
 ]
 
 EXIT_CODE_CASES = [

@@ -11,10 +11,17 @@ import pytest
 
 from intdiffop import PolyH, PolyX, RatFunc, generators, nonneg_shifted_roots, polyh
 from intdiffop.errors import DivisionByZero, ZeroPolynomial
-from intdiffop.laurent import CalB1Element
+from intdiffop.laurent import CalB1Element, left_divide, right_divide
 from intdiffop.sparse import _rat
 
-from conftest import is_exact, rand_calb1, rand_polyh, rand_polyh_nonzero, rand_ratfunc
+from conftest import (
+    is_exact,
+    rand_calb1,
+    rand_calb1_nonzero,
+    rand_polyh,
+    rand_polyh_nonzero,
+    rand_ratfunc,
+)
 
 H = PolyH.monomial(1)
 
@@ -124,6 +131,23 @@ class TestIntegerListArithmetic:
             assert one * p is p and p * one == p
         assert calls == []
         assert one * one == 1 and one * Fraction(2, 3) == Fraction(2, 3)
+
+    def test_ratfunc_reads_each_part_once_and_writes_each_result_part_once(self, monkeypatch):
+        # four non-constant parts: a product and a sum over unequal
+        # denominators read four, a sum over equal denominators three
+        f = RatFunc(H * H + 1, 2 * H - 3)
+        g = RatFunc(H + Fraction(1, 2), H * H - 5)
+        h = RatFunc(H * H - H, f.den)
+        calls = {"_primitive": 0, "_scaled": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(polyh, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(polyh, name, counted)
+        for run, want in ((lambda: f * g, 4), (lambda: f + g, 4), (lambda: f + h, 3)):
+            calls.update(_primitive=0, _scaled=0)
+            run()
+            assert calls == {"_primitive": want, "_scaled": 2}
 
     def test_kinds(self):
         maps = reference_maps()
@@ -664,16 +688,65 @@ def cofactor_pairs():
     return pairs
 
 
+def form(p: PolyH):
+    return polyh._primitive(p.terms)
+
+
+def form_pairs():
+    """Seeded pairs of polynomials with every case the form kernels
+    special-case: a sum that cancels to 0 and one that cancels to a
+    constant, negative leading entries and a constant operand [1] or [-1]."""
+    rng = random.Random(33)
+    maps = reference_maps()
+    one, pairs = PolyH.const(1), []
+    for p in maps:
+        c = PolyH.const(rat_poly(rng, 0).leading_coeff())
+        pairs += [(p, q) for q in rng.sample(maps, 4)]
+        pairs += [(p, -p), (p, c - p), (p, -c), (c, p), (p, one), (one, -p)]
+    return pairs
+
+
+class TestForms:
+    """The form product and the form sum against the term-by-term product
+    and the sparse sum: values, coefficient types and the forms themselves."""
+
+    def test_match_the_references(self):
+        seen = {"zero sum": 0, "constant sum": 0, "negative lead": 0, "[1]": 0}
+        for p, q in form_pairs():
+            a, b = form(p), form(q)
+            for s in (1, -1):
+                # a content of either sign, as cofactors carry
+                sa = (a[0], s * a[1], a[2])
+                got = polyh._mul_forms(sa, b)
+                assert typed(polyh._scaled(*got)) == typed(reference_mul(s * p, q).terms)
+                got = polyh._add_forms(sa, b)
+                assert typed(polyh._scaled(*got)) == typed((s * p + q).terms)
+            # over positive contents, the results are the forms of the results
+            total = polyh._add_forms(a, b)
+            assert total == form(p + q)
+            if p and q:
+                assert polyh._mul_forms(a, b) == form(reference_mul(p, q))
+            seen["zero sum"] += total == ([], 0, 1)
+            seen["constant sum"] += len(total[0]) == 1
+            seen["negative lead"] += bool(a[0]) and a[0][0] < 0
+            seen["[1]"] += [1] in (a[0], b[0])
+        assert min(seen.values()) >= 100, seen
+
+
 class TestCofactors:
     """Integer cofactors against the gcd and two divisions over Fractions."""
 
     def test_match_the_reference(self):
         nontrivial = 0
         for p, q in cofactor_pairs():
-            G, u, v = polyh._cofactors(p, q)
+            G, u, v = polyh._cofactors(form(p), form(q))
             g, want_u, want_v = ref_cofactors(p, q)
             # G is the primitive gcd list, and g the monic gcd over it
             assert all(type(c) is int for c in G) and gcd(*G) == 1
+            # the cofactors are forms: primitive lists over reduced contents
+            for a, n, d in (u, v):
+                assert gcd(*a) == 1 and gcd(n, d) == 1
+            u, v = PolyH(polyh._scaled(*u)), PolyH(polyh._scaled(*v))
             assert polyh._scaled(G, 1, G[0]) == g.terms
             assert [u.terms, v.terms] == [want_u.terms, want_v.terms]
             assert g * u == p and g * v == q
@@ -789,8 +862,9 @@ class TestRatFuncFastPaths:
         def own_quotient(f, g):
             if f.is_zero():
                 return RatFunc(0)
-            _, n1, n2 = polyh._cofactors(f.num, g.num)
-            _, d2, d1 = polyh._cofactors(g.den, f.den)
+            _, n1, n2 = polyh._cofactors(form(f.num), form(g.num))
+            _, d2, d1 = polyh._cofactors(form(g.den), form(f.den))
+            n1, n2, d1, d2 = (PolyH(polyh._scaled(*x)) for x in (n1, n2, d1, d2))
             num, den = n1 * d2, d1 * n2
             if (inv := 1 / n2.leading_coeff()) == 1:
                 return RatFunc._reduced(num, den)
@@ -854,6 +928,62 @@ class TestRatFuncFastPaths:
         finally:
             tracemalloc.stop()
         assert grown < 64 * 1024
+
+
+def reference_ratfunc_ops(monkeypatch):
+    """Swap RatFunc products and sums of two rational functions for the
+    Fraction-content reference kernels."""
+    mul = RatFunc.__mul__
+
+    def ref_mul(f, g):
+        if isinstance(g, (int, Fraction)):
+            return mul(f, g)
+        g = RatFunc._operand(g)
+        return NotImplemented if g is None else reference_ratfunc_mul(f, g)
+
+    def ref_add(f, g):
+        g = RatFunc._operand(g)
+        return NotImplemented if g is None else reference_ratfunc_add(f, g)
+
+    for name, op in (("__mul__", ref_mul), ("__rmul__", ref_mul),
+                     ("__add__", ref_add), ("__radd__", ref_add)):
+        monkeypatch.setattr(RatFunc, name, op)
+
+
+class TestFormsInDivision:
+    """Skew division with RatFunc products and sums on forms against the
+    same division over the Fraction-content kernels."""
+
+    SEED = 37
+
+    def test_quotients_and_remainders_match_the_reference_kernels(self, monkeypatch):
+        def typed_skew(x):
+            return {d: typed_ratfunc(f) for d, f in x.terms.items()}
+
+        rng = random.Random(self.SEED)
+        pairs = [(rand_calb1_nonzero(rng), rand_calb1_nonzero(rng, 2)) for _ in range(40)]
+        # dividends q*c + r and c*q + r for a one-term r, whose division
+        # steps cancel common factors of the summands' denominators
+        for _ in range(20):
+            c, q = rand_calb1_nonzero(rng, 2), rand_calb1_nonzero(rng, 2)
+            r = CalB1Element({rng.randint(-2, 2): rand_ratfunc(rng)})
+            pairs += [(q * c + r, c), (c * q + r, c)]
+
+        def divisions():
+            return [divide(b, c) for b, c in pairs for divide in (right_divide, left_divide)]
+
+        got = divisions()
+        reference_ratfunc_ops(monkeypatch)
+        want = divisions()
+        steps = 0
+        for (q, r), (wq, wr) in zip(got, want):
+            for x, w in ((q, wq), (r, wr)):
+                assert x == w
+                assert typed_skew(x) == typed_skew(w)
+                assert x.to_text() == w.to_text()
+            steps += len(q.terms)
+        # the divisions take many steps
+        assert steps >= 80, steps
 
 
 class TestForeignOperands:
