@@ -3,10 +3,10 @@
 An ideal is an antichain of Boolean functions {1..n} -> {0,1}; each function
 is a bitmask (bit i-1 set means value 1 at slot i).  Sum is join, product is
 meet (product = intersection), and the empty antichain is the zero ideal.
-The number of ideals is the Dedekind number.  `IdealAntichain(n, masks)`
+The number of ideals is the Dedekind number.  `IdealAntichain(n, masks)` is
+the only constructor, the enumeration and the constant ideals included: it
 keeps the maximal masks of whatever it is given, so equal ideals are equal
-antichains; only the enumeration and the two constant ideals, which know
-their antichains, skip that step through `IdealAntichain._new`.
+antichains.
 """
 
 from __future__ import annotations
@@ -48,22 +48,12 @@ class IdealAntichain:
         self.masks = tuple(sorted(full ^ z for z in _minimal(full ^ m for m in masks)))
 
     @classmethod
-    def _new(cls, n: int, masks: tuple) -> "IdealAntichain":
-        """The antichain of masks over n slots that the caller knows to be
-        maximal and sorted, without normalising."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        c = object.__new__(cls)
-        c.n, c.masks = n, masks
-        return c
-
-    @classmethod
     def zero(cls, n: int) -> "IdealAntichain":
         return cls(n)
 
     @classmethod
     def full(cls, n: int) -> "IdealAntichain":
-        return cls._new(n, ((1 << n) - 1,))
+        return cls(n, ((1 << n) - 1,))
 
     def is_zero(self) -> bool:
         return not self.masks
@@ -194,7 +184,7 @@ def enumerate_ideals(n: int):
 
     def extend(chosen, start):
         # chosen is an antichain in increasing order
-        out.append(IdealAntichain._new(n, tuple(chosen)))
+        out.append(IdealAntichain(n, chosen))
         for k in range(start, len(masks)):
             f = masks[k]
             if all(not _comparable(f, g) for g in chosen):
@@ -220,4 +210,4 @@ def maximal_ideal(n: int) -> IdealAntichain:
 
 def minimum_nonzero_ideal(n: int) -> IdealAntichain:
     """The intersection of all height-one primes (all-zeros generator)."""
-    return IdealAntichain._new(n, (0,))
+    return IdealAntichain(n, (0,))

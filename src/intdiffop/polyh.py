@@ -2,7 +2,9 @@
 
 Polynomials store exact rational coefficients (`int` or `fractions.Fraction`)
 sparsely by degree; there is no floating point anywhere in the engine, and
-the shift automorphism tau (H -> H+1) is a first-class operation.  Products,
+the shift automorphism tau (H -> H+1) is a first-class operation.  `PolyH`
+keeps its own `*` beside the sparse core's, because its product by a
+constant is a scaling and by 1 returns the other operand itself.  Products,
 shifts and the gcd clear denominators and run on forms (a, n, d): a
 primitive integer list a in Python ints over a content kept as a pair of
 ints n/d, which multiply as ints; the cofactors p/g and q/g are exact
@@ -14,9 +16,9 @@ crosswise in products and by Henrici's rule in sums, where equal
 denominators d take only gcd(n1 + n2, d), so only small gcds are ever taken,
 and only a sum makes its gcd monic.  A product or a sum reads each part of
 its operands once as a form, runs its gcds, products and sum on forms, and
-scales each part of its result once.  A quotient is the crosswise product
-by the swapped pair den/num and an inverse is that pair; each is scaled
-once to a monic denominator, with no gcd of its own.
+scales each part of its result once.  An inverse is the swapped pair
+den/num, scaled once to a monic denominator with no gcd of its own, and a
+quotient is the product by the inverse.
 """
 
 from __future__ import annotations
@@ -398,8 +400,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        """num/1 divided by den: the quotient's crosswise cancellation
-        reduces it and leaves den monic, and a zero den raises DivisionByZero.
+        """num/1 divided by den: the product by den's inverse reduces it and
+        leaves den monic, and a zero den raises DivisionByZero.
         A num or den that is not a PolyH is a constant by PolyH.const, which
         refuses all but an int or a Fraction with TypeError."""
         self.num, self.den = num if isinstance(num, PolyH) else PolyH.const(num), ONE
@@ -422,12 +424,6 @@ class RatFunc:
     def _of_forms(num, den) -> "RatFunc":
         """The coprime pair of the forms num and den, each scaled once."""
         return RatFunc._reduced(ONE._new(_scaled(*num)), ONE._new(_scaled(*den)))
-
-    def _monic(self) -> "RatFunc":
-        """self, with both parts scaled once so that den is monic."""
-        if (inv := 1 / self.den.leading_coeff()) == 1:
-            return self
-        return RatFunc._reduced(self.num.scale(inv), self.den.scale(inv))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -512,18 +508,19 @@ class RatFunc:
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
+        """The swapped pair den/num, with both parts scaled once so that its
+        den is monic."""
         if self.num.is_zero():
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFunc._reduced(self.den, self.num)._monic()
+        if (inv := 1 / self.num.leading_coeff()) == 1:
+            return RatFunc._reduced(self.den, self.num)
+        return RatFunc._reduced(self.den.scale(inv), self.num.scale(inv))
 
     def __truediv__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("inverse of the zero rational function")
-        # the crosswise product by the swapped pair d2/n2, made monic once
-        return (self * RatFunc._reduced(other.den, other.num))._monic()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._operand(other)

@@ -6,20 +6,24 @@ nonzero coefficients.  `Sparse` holds that map in `terms` and is the only
 owner of its invariant: every coefficient passes the one `_coerce` hook (by
 default an exact rational: an `int` when integral, else a `Fraction`), the
 new coefficients of sums, differences and scalings too, no zero coefficient
-is stored, and equal keys add up.  A product rule that accumulates raw
-values coerces its result map once, with `_integral`.  An `int` and an equal
-`Fraction` compare, hash and print alike, so the two may mix.  It holds the
-only constructor loop, scalar embedding, `coeffs` copy and scalar
-`__rmul__`, the only linear operations, equality, hashing and `Type(text)`
-repr, and the only powers.  Before the first product a power refuses a base
-whose coefficients would pass MAX_POWER_BITS, counted through polynomial and
+is stored, and equal keys add up.  An `int` and an equal `Fraction`
+compare, hash and print alike, so the two may mix.  It holds the only
+constructor loop, scalar embedding, `coeffs` copy and scalar `__rmul__`, the
+only linear operations, equality, hashing and `Type(text)` repr, the only
+entry of products and the only powers.  A product by a rational scales, one
+by a foreign type is NotImplemented, `_check` guards the context, and the
+subclass's `_product` returns a raw term map that the core coerces once,
+with `_integral`.  Before the first product a power refuses a base whose
+coefficients would pass MAX_POWER_BITS, counted through polynomial and
 rational-function coefficients, then one whose terms would pass MAX_DEGREE
-letters; each product refuses more than MAX_POWER_PAIRS term pairs.  A
-subclass supplies the key of 1 (`_unit_key`), its `to_text`, optionally its
-own `_coerce` and `_term_size`, and, where it has one, its product rule; a
-subclass whose elements carry context, such as a factor count, also
+letters; then a subclass's `_closed_power` may answer, and otherwise each
+product of binary powering refuses more than MAX_POWER_PAIRS term pairs.  A
+subclass supplies the key of 1 (`_unit_key`), its `to_text` and its
+`_product`, optionally its own `_coerce`, `_term_size` and `_closed_power`;
+a subclass whose elements carry context, such as a factor count, also
 supplies `_new`, `_check` and `_context`, and sets that context before
-calling `Sparse.__init__`.
+calling `Sparse.__init__`.  `PolyH` keeps its own `*`, whose product by 1
+returns the other operand itself.
 """
 
 from __future__ import annotations
@@ -196,11 +200,29 @@ class Sparse:
         coerce = self._coerce
         return self._new({k: coerce(c * v) for k, v in self.terms.items()})
 
+    def _product(self, other: "Sparse") -> dict:
+        """The raw term map of self * other, for other of self's type and
+        context; `__mul__` coerces it once."""
+        raise NotImplementedError
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._new(_integral(self._product(other)))
+
     def __rmul__(self, other):
         # rationals are central, so c * self = self * c
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
+
+    def _closed_power(self, k: int):
+        """self ** k in closed form, asked after the budget checks, or None
+        for binary powering."""
+        return None
 
     def __pow__(self, k: int):
         # binary powering that stops squaring after the last bit: **k makes
@@ -210,6 +232,8 @@ class Sparse:
         _check_power_bits(self.terms, k)
         if (letters := k * self._term_size()) > MAX_DEGREE:
             raise LimitExceeded(f"a power of total degree {letters}, beyond the limit {MAX_DEGREE}")
+        if (closed := self._closed_power(k)) is not None:
+            return closed
         result = self._scalar(1)
         base = self
         while k:

@@ -145,31 +145,30 @@ class InElement(Sparse):
     def _context(self) -> tuple:
         return self.n, self.modes
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, InElement):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other: "InElement") -> dict:
         out, modes = {}, self.modes
         for t1, v1 in self.terms.items():
             for t2, v2 in other.terms.items():
                 _expand_into(out, map(_factor_mul, t1, t2, modes), v1 * v2)
-        return self._new(_integral(out))
+        return out
 
-    def __pow__(self, k: int):
+    def _closed_power(self, k: int):
         """One term c*w, w the only monomial other than 1, is the I1 power
         (c*w)**k put back at w's factor.  Both modes agree on it: words on one
         side of degree 0 multiply with m = min(A, B) = 0 in _mono_mul_into, so
-        no matrix unit arises.  Any other element goes to Sparse.__pow__;
-        bench/tracing.py patches it by name per class."""
+        no matrix unit arises."""
         if len(self.terms) == 1:
             ((tup, c),) = self.terms.items()
             if len(at := [i for i, m in enumerate(tup) if m != _UNIT]) == 1:
                 i = at[0]
                 p = I1Element({tup[i]: c}) ** k
                 return self._new({(*tup[:i], m, *tup[i + 1:]): v for m, v in p.terms.items()})
-        return Sparse.__pow__(self, k)
+        return None
+
+    # bench/tracing.py patches these through the class's own __dict__, where
+    # an inherited method is not found (tests/test_trace_points.py)
+    __mul__ = Sparse.__mul__
+    __pow__ = Sparse.__pow__
 
     def involution(self) -> "InElement":
         return self._new({tuple(map(mono_involution, tup)): v for tup, v in self.terms.items()})
@@ -293,17 +292,12 @@ class PolyXn(Sparse):
     def _context(self) -> tuple:
         return (self.n,)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, PolyXn):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other: "PolyXn") -> dict:
         out = {}
         for d1, v1 in self.terms.items():
             for d2, v2 in other.terms.items():
                 _acc(out, tuple(a + b for a, b in zip(d1, d2)), v1 * v2)
-        return self._new(out)
+        return out
 
     def to_text(self) -> str:
         """Canonical text, highest total degree first."""

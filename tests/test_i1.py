@@ -426,6 +426,10 @@ class TestLemma21:
             assert all(t < n for _, _, t in c.terms)
             assert ((u * D**n) * idempotent_sum(n)).is_zero()
 
+    def test_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            decompose_lemma21(D, 0)
+
 
 class TestLemma25:
     def test_linear(self):

@@ -51,7 +51,8 @@ class TestNormalize:
             assert c == IdealAntichain(2, [0b01]) and hash(c) == hash(IdealAntichain(2, [0b01]))
 
     def test_enumerated_ideals_are_the_constructors_antichains(self):
-        # the enumeration builds its antichains without normalising them
+        # the enumeration builds each antichain through the constructor, so it
+        # equals the antichain built from its masks in any order
         for c in enumerate_ideals(4):
             d = IdealAntichain(4, reversed(c.masks))
             assert c == d and hash(c) == hash(d) and c.masks == d.masks
@@ -144,6 +145,10 @@ class TestPrimes:
                 p = prime_ideal(n, idx)
                 assert is_prime(p)
                 assert prime_index_set(p) == frozenset(idx)
+
+    def test_prime_index_set_of_a_non_prime_is_none(self):
+        assert prime_index_set(minimum_nonzero_ideal(2)) is None
+        assert prime_index_set(IdealAntichain(3, [0b001])) is None
 
 
 def scan_minimal_primes(c: IdealAntichain):
@@ -279,6 +284,11 @@ class TestText:
         for text in ("01", "{01", "01}"):
             with pytest.raises(ValueError):
                 IdealAntichain.from_text(text, 2)
+
+    def test_repr_and_foreign_equality(self):
+        c = IdealAntichain(2, [1, 2])
+        assert repr(c) == "IdealAntichain(n=2, {01,10})"
+        assert c != "{01,10}" and c != c.masks
 
 
 class TestRefusals:

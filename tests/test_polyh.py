@@ -516,6 +516,11 @@ class TestRatFunc:
         with pytest.raises(DivisionByZero):
             RatFunc(PolyH()).inverse()
 
+    def test_repr_and_foreign_equality(self):
+        f = RatFunc(H, H + 1)
+        assert repr(f) == "RatFunc(H/(H + 1))"
+        assert f != "H/(H + 1)" and f != 0.5
+
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             RatFunc(H, PolyH())

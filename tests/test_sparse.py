@@ -1,16 +1,30 @@
 """The term-map contract every element type inherits from `Sparse`: one
 constructor that coerces coefficients, drops zeros and adds up equal keys,
-and a `coeffs` that is a copy."""
+a `coeffs` that is a copy, and one product entry that refuses other types
+and contexts and stores integral values as ints."""
 
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from intdiffop import DiffMon, HMon, I1Element, InElement, IntMon, MatUnit, PolyH, PolyX, PolyXn
+from intdiffop import (
+    DiffMon,
+    DimensionMismatch,
+    HMon,
+    I1Element,
+    InElement,
+    IntMon,
+    MatUnit,
+    ModeMismatch,
+    PolyH,
+    PolyX,
+    PolyXn,
+    parse_poly,
+)
 from intdiffop.laurent import B1Element, CalB1Element
 from intdiffop.polyh import H, RatFunc
-from intdiffop.sparse import _rat
+from intdiffop.sparse import _rat, _rationals
 
 # name -> (constructor from a term map or pairs, a term map, a key not in it)
 ELEMENTS = {
@@ -115,3 +129,61 @@ def test_integral_sums_differences_and_scalings_are_stored_as_int(name):
     for y in (half + half, x.scale(Fraction(3, 2)) - half, half.scale(2)):
         assert y == x
         assert all(type(v) is int or v.denominator != 1 for v in y.terms.values())
+
+
+# the types whose products enter through `Sparse.__mul__`
+PRODUCTS = [n for n in ELEMENTS if not n.startswith("Poly") or n == "PolyXn"]
+
+# name -> (an element of another context, the error a product with it raises)
+MISMATCHES = {
+    "InElement": [(InElement(3), DimensionMismatch), (InElement(2, None, ("I", "B")), ModeMismatch)],
+    "InElement-quotient": [(InElement(2), ModeMismatch), (InElement(1, None, ("B",)), DimensionMismatch)],
+    "PolyXn": [(PolyXn(3), DimensionMismatch)],
+}
+
+
+def integral_fractions(x) -> list:
+    """The rationals of x, read through polynomial and rational-function
+    coefficients, that are Fractions with denominator 1."""
+    return [v for v in _rationals(x.terms) if type(v) is Fraction and v.denominator == 1]
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_products_refuse_floats_and_other_types(name):
+    make, terms, _ = ELEMENTS[name]
+    x = make(terms)
+    others = [make2(terms2) for make2, terms2, _ in ELEMENTS.values()]
+    for other in [0.5, *(y for y in others if type(y) is not type(x))]:
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+
+
+@pytest.mark.parametrize("name", MISMATCHES)
+def test_products_refuse_another_context(name):
+    make, terms, _ = ELEMENTS[name]
+    x = make(terms)
+    for other, error in MISMATCHES[name]:
+        with pytest.raises(error):
+            x * other
+        with pytest.raises(error):
+            other * x
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_products_store_integral_values_as_int(name):
+    # (c*x) * (x/c): the raw coefficients a product rule accumulates are
+    # Fractions, and the integral ones come out as ints
+    make, terms, _ = ELEMENTS[name]
+    x = make(terms)
+    for c in (1, Fraction(1, 2), Fraction(2, 3)):
+        a, b = x.scale(c), x.scale(1 / Fraction(c))
+        assert a * b == x * x
+        assert integral_fractions(a * b) == []
+
+
+def test_parsed_polynomial_products_store_ints():
+    p = parse_poly("(1/2*x1 + 1/2*x2)*(x1 + x2)*2", 2)
+    assert p == parse_poly("x1^2 + 2*x1*x2 + x2^2", 2)
+    assert integral_fractions(p) == []
